@@ -11,6 +11,7 @@ void SlidingWindowUsage::Start(Time now) {
     origin_set_ = true;
   }
   if (active_) return;
+  assert(now >= last_stop_);
   active_ = true;
   active_since_ = now;
 }
@@ -20,27 +21,35 @@ void SlidingWindowUsage::Stop(Time now) {
   assert(now >= active_since_);
   if (now > active_since_) {
     intervals_.push_back({active_since_, now});
+    retained_busy_ += now - active_since_;
   }
   active_ = false;
+  last_stop_ = now;
+  Compact(now);
+}
+
+Time SlidingWindowUsage::CutoffAt(Time now) const {
+  return (now.count() > window_.count()) ? now - window_ : kTimeZero;
 }
 
 void SlidingWindowUsage::Compact(Time now) {
-  const Time cutoff = (now.count() > window_.count()) ? now - window_
-                                                      : kTimeZero;
+  const Time cutoff = CutoffAt(now);
   while (!intervals_.empty() && intervals_.front().end <= cutoff) {
+    retained_busy_ -= intervals_.front().end - intervals_.front().start;
     intervals_.pop_front();
   }
 }
 
 Duration SlidingWindowUsage::BusyTime(Time now) const {
-  const Time cutoff = (now.count() > window_.count()) ? now - window_
-                                                      : kTimeZero;
-  Duration busy{0};
+  assert(now >= last_stop_);
+  const Time cutoff = CutoffAt(now);
+  // Every retained interval ended at or before last_stop_ <= now, so only
+  // the parts before the cutoff need taking off the running sum; intervals
+  // are sorted, so those are a prefix.
+  Duration busy = retained_busy_;
   for (const Interval& iv : intervals_) {
-    if (iv.end <= cutoff) continue;
-    const Time s = std::max(iv.start, cutoff);
-    const Time e = std::min(iv.end, now);
-    if (e > s) busy += e - s;
+    if (iv.start >= cutoff) break;
+    busy -= std::min(iv.end, cutoff) - iv.start;
   }
   if (active_ && now > active_since_) {
     const Time s = std::max(active_since_, cutoff);

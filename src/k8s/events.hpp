@@ -58,6 +58,9 @@ class EventRecorder {
 
  private:
   sim::Simulation* sim_;
+  /// Unbounded: one entry per Record, so it grows with run length. Read by
+  /// For/CountReason/Print, the scenario tool's `report events`, tests and
+  /// perfbench's event count; a bounded ring buffer is still to come.
   std::vector<ClusterEvent> events_;
 };
 

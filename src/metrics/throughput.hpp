@@ -30,7 +30,9 @@ class ThroughputTimeline {
   }
 
  private:
-  std::vector<Time> completions_;  // in completion order
+  /// In completion order; one entry per completed job, so bounded by the
+  /// jobs run, not by simulated time. Read by the rate queries above.
+  std::vector<Time> completions_;
 };
 
 }  // namespace ks::metrics

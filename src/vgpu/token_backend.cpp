@@ -255,6 +255,14 @@ TokenBackend::ContainerStats TokenBackend::StatsOf(
   return it->second.stats;
 }
 
+std::size_t TokenBackend::max_retained_intervals() const {
+  std::size_t most = 0;
+  for (const auto& [id, state] : containers_) {
+    most = std::max(most, state.usage.retained_intervals().size());
+  }
+  return most;
+}
+
 Status TokenBackend::ExtendQuota(const ContainerId& container,
                                  Duration extra) {
   auto it = containers_.find(container);

@@ -300,6 +300,11 @@ class TokenBackendApi {
   };
   virtual ContainerStats StatsOf(const ContainerId& container) const = 0;
 
+  /// Largest number of closed hold intervals any registered container's
+  /// usage window retains. Bounded by the usage window, not by run length
+  /// — the soak test pins it across a 1x and an 8x horizon.
+  virtual std::size_t max_retained_intervals() const = 0;
+
   /// Pending daemon timers (renewal/reeval/restart deadlines), however the
   /// implementation stores them. Zero when the daemon owes the engine
   /// nothing — the dangling-reeval regression test pins this.
@@ -485,6 +490,7 @@ class TokenBackend : public TokenBackendApi {
   std::uint64_t reattached() const override { return reattached_; }
   bool down() const override { return down_; }
   ContainerStats StatsOf(const ContainerId& container) const override;
+  std::size_t max_retained_intervals() const override;
   std::size_t pending_timers() const override { return wheel_.pending(); }
 
   void RecordViolation(const ContainerId& container,

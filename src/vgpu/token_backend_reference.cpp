@@ -156,6 +156,14 @@ TokenBackendReference::ContainerStats TokenBackendReference::StatsOf(
   return it->second.stats;
 }
 
+std::size_t TokenBackendReference::max_retained_intervals() const {
+  std::size_t most = 0;
+  for (const auto& [id, state] : containers_) {
+    most = std::max(most, state.usage.retained_intervals().size());
+  }
+  return most;
+}
+
 Status TokenBackendReference::ExtendQuota(const ContainerId& container,
                                           Duration extra) {
   auto it = containers_.find(container);

@@ -48,6 +48,7 @@ class TokenBackendReference : public TokenBackendApi {
   std::uint64_t reattached() const override { return reattached_; }
   bool down() const override { return down_; }
   ContainerStats StatsOf(const ContainerId& container) const override;
+  std::size_t max_retained_intervals() const override;
   std::size_t pending_timers() const override;
 
  private:

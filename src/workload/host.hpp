@@ -141,6 +141,9 @@ class WorkloadHost {
   std::size_t failed_ = 0;
   std::size_t started_ = 0;
   std::size_t restarts_ = 0;
+  /// One entry per successful job, so bounded by the jobs submitted, not
+  /// by simulated time. Read through completion_times() for makespans by
+  /// the workload driver, the benches and perfbench.
   std::vector<Time> completion_times_;
 };
 

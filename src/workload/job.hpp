@@ -184,6 +184,8 @@ class InferenceJob final : public Job {
   std::unique_ptr<Rng> rng_;
   int arrived_ = 0;
   int served_ = 0;
+  /// One entry per served request, bounded by spec_.total_requests. Read
+  /// through request_latencies() by bench_study_latency.
   std::vector<Duration> latencies_;
   bool stopped_ = false;
   sim::EventId next_arrival_ = sim::kInvalidEvent;
