@@ -84,11 +84,11 @@ void FaultInjector::InjectNodeCrash(const Fault& fault) {
   // Snapshot the affected set BEFORE the crash: the non-terminal pods
   // bound to the node. Recovery = all of them gone from the node.
   std::vector<std::string> affected;
-  for (const k8s::Pod& pod : cluster_->api().pods().List()) {
+  cluster_->api().pods().ForEach([&](const k8s::Pod& pod) {
     if (pod.status.node_name == fault.node && !pod.terminal()) {
       affected.push_back(pod.meta.name);
     }
-  }
+  });
   const Status crashed = cluster_->CrashNode(fault.node);
   if (!crashed.ok()) {
     RecordSkip(fault, crashed.ToString());
@@ -160,13 +160,13 @@ void FaultInjector::InjectOomKill(const Fault& fault) {
   if (target.empty()) {
     // The kernel OOM-killer goes for the memory hog: pick the running pod
     // with the largest memory request, tie-broken by CPU request and then
-    // by name (List() is name-sorted), so the choice is a deterministic
-    // function of cluster state. Infrastructure pause pods request
-    // nothing and are only hit when nothing else runs.
+    // by name (ForEach scans in name order), so the choice is a
+    // deterministic function of cluster state. Infrastructure pause pods
+    // request nothing and are only hit when nothing else runs.
     std::pair<std::int64_t, std::int64_t> best{-1, -1};
-    for (const k8s::Pod& pod : cluster_->api().pods().List()) {
+    cluster_->api().pods().ForEach([&](const k8s::Pod& pod) {
       if (pod.status.phase != k8s::PodPhase::kRunning || pod.terminal()) {
-        continue;
+        return;
       }
       const std::pair<std::int64_t, std::int64_t> score{
           pod.spec.requests.Get(k8s::kResourceMemory),
@@ -175,7 +175,7 @@ void FaultInjector::InjectOomKill(const Fault& fault) {
         best = score;
         target = pod.meta.name;
       }
-    }
+    });
   }
   if (target.empty()) {
     RecordSkip(fault, "no running pod to OOM-kill");
@@ -227,9 +227,9 @@ void FaultInjector::InjectDevMgrCrash(const Fault& fault) {
   // moment of death. Recovery = each one terminal, requeued, or running
   // again under the rebuilt pool.
   std::vector<std::string> snapshot;
-  for (const kubeshare::SharePod& sp : kubeshare_->sharepods().List()) {
+  kubeshare_->sharepods().ForEach([&](const kubeshare::SharePod& sp) {
     if (!sp.terminal()) snapshot.push_back(sp.meta.name);
-  }
+  });
   kubeshare_->devmgr().Crash();
   ++stats_.faults_injected;
   ++stats_.devmgr_crashes;
@@ -255,9 +255,9 @@ void FaultInjector::InjectSchedCrash(const Fault& fault) {
   // Snapshot the pending population: recovery = each one placed (or
   // terminal/deleted) after the restart's relist.
   std::vector<std::string> snapshot;
-  for (const kubeshare::SharePod& sp : kubeshare_->sharepods().List()) {
+  kubeshare_->sharepods().ForEach([&](const kubeshare::SharePod& sp) {
     if (!sp.terminal() && !sp.scheduled()) snapshot.push_back(sp.meta.name);
-  }
+  });
   kubeshare_->sched().Crash();
   ++stats_.faults_injected;
   ++stats_.sched_crashes;
@@ -396,8 +396,8 @@ void FaultInjector::PollDevMgrRecovery(std::vector<std::string> snapshot,
   bool clear = kubeshare_->pool().CheckIndexInvariants().ok();
   if (clear) {
     for (const std::string& name : snapshot) {
-      auto sp = kubeshare_->sharepods().Get(name);
-      if (!sp.ok() || sp->terminal()) continue;  // finished or deleted
+      const kubeshare::SharePod* sp = kubeshare_->sharepods().Find(name);
+      if (sp == nullptr || sp->terminal()) continue;  // finished or deleted
       if (!sp->scheduled()) continue;            // requeued: sched's court
       if (sp->status.phase == kubeshare::SharePodPhase::kRunning) continue;
       // Scheduled but not running: converged only once its workload pod
@@ -436,8 +436,8 @@ void FaultInjector::PollSchedRecovery(std::vector<std::string> snapshot,
   const Time now = cluster_->sim().Now();
   bool clear = true;
   for (const std::string& name : snapshot) {
-    auto sp = kubeshare_->sharepods().Get(name);
-    if (!sp.ok() || sp->terminal() || sp->scheduled()) continue;
+    const kubeshare::SharePod* sp = kubeshare_->sharepods().Find(name);
+    if (sp == nullptr || sp->terminal() || sp->scheduled()) continue;
     clear = false;
     break;
   }
@@ -491,8 +491,8 @@ void FaultInjector::PollRecovery(std::string node,
   const Time now = cluster_->sim().Now();
   bool clear = true;
   for (const std::string& name : affected) {
-    auto pod = cluster_->api().pods().Get(name);
-    if (!pod.ok()) continue;  // deleted (e.g. requeued workload) = gone
+    const k8s::Pod* pod = cluster_->api().pods().Find(name);
+    if (pod == nullptr) continue;  // deleted (e.g. requeued workload) = gone
     if (pod->status.node_name == node && !pod->terminal()) {
       clear = false;
       break;

@@ -256,7 +256,7 @@ void Kubelet::StartViaRuntime(const std::string& name,
   if (it == pods_.end()) return;  // deleted while allocating
   it->second.state = PodState::kStarting;
   std::string image;
-  if (auto pod = api_->pods().Get(name); pod.ok()) image = pod->spec.image;
+  if (const Pod* pod = api_->pods().Find(name)) image = pod->spec.image;
   runtime_->StartContainer(name, std::move(env),
                            [this, name](const ContainerInstance& inst) {
     auto pit = pods_.find(name);

@@ -63,8 +63,8 @@ void KubeScheduler::ResyncOnce() {
   // or terminal Modified event). reservations_ is unordered — sort.
   std::vector<std::string> stale;
   for (const auto& [name, res] : reservations_) {
-    auto pod = api_->pods().Get(name);
-    if (!pod.ok() || pod->terminal()) stale.push_back(name);
+    const Pod* pod = api_->pods().Find(name);
+    if (pod == nullptr || pod->terminal()) stale.push_back(name);
   }
   std::sort(stale.begin(), stale.end());
   for (const std::string& name : stale) Unreserve(name);
@@ -104,8 +104,8 @@ void KubeScheduler::ScheduleOne(const std::string& pod_name) {
     api_->events().Record("kube-scheduler", "pod/" + pod_name,
                           "FailedScheduling", node.status().message());
     sim_->ScheduleAfter(retry_backoff_, [this, pod_name] {
-      auto p = api_->pods().Get(pod_name);
-      if (!p.ok() || p->scheduled() || p->terminal()) return;
+      const Pod* p = api_->pods().Find(pod_name);
+      if (p == nullptr || p->scheduled() || p->terminal()) return;
       Enqueue(pod_name);
     });
     return;

@@ -166,6 +166,15 @@ class ObjectStore {
     return it->second;
   }
 
+  /// Zero-copy point read: the stored object, or nullptr when `name` is
+  /// missing. The pointer is valid until the next mutation of this store —
+  /// read the fields you need before writing. Use Get() for a copy the
+  /// caller edits and writes back.
+  const T* Find(const std::string& name) const {
+    auto it = objects_.find(name);
+    return it == objects_.end() ? nullptr : &it->second;
+  }
+
   bool Contains(const std::string& name) const {
     return objects_.count(name) > 0;
   }
@@ -179,9 +188,10 @@ class ObjectStore {
 
   std::size_t size() const { return objects_.size(); }
 
-  /// Zero-copy scan in name order. List() copies every object — at 100k
-  /// sharePods that copy dominated the scheduler's pump loop; read-only
-  /// passes use this instead. The callback must not mutate the store.
+  /// Zero-copy scan in name order. List() copies every object; read-only
+  /// passes (status counts, snapshot collection, metrics scrapes) use this
+  /// instead. The callback must not mutate the store — a loop whose body
+  /// writes keeps List()'s snapshot.
   void ForEach(const std::function<void(const T&)>& fn) const {
     for (const auto& [name, obj] : objects_) fn(obj);
   }
@@ -231,8 +241,9 @@ class ObjectStore {
           std::to_string(expected_version) + ", store has " +
           std::to_string(it->second.meta.resource_version));
     }
-    T final_state = it->second;
+    T final_state = std::move(it->second);
     objects_.erase(it);
+    ++deletions_;
     // The deletion is itself a versioned mutation: the event carries the
     // deletion's resource_version, not the object's last-update version,
     // so replaying a watch stream against a relist snapshot keeps a total
@@ -250,7 +261,8 @@ class ObjectStore {
     const WatchId id = next_watch_++;
     watchers_.emplace(id, std::move(fn));
     for (const auto& [name, obj] : objects_) {
-      Deliver(id, WatchEvent<T>{WatchEventType::kAdded, obj});
+      Deliver(id, std::make_shared<const WatchEvent<T>>(
+                      WatchEvent<T>{WatchEventType::kAdded, obj}));
     }
     return id;
   }
@@ -258,6 +270,11 @@ class ObjectStore {
   void Unwatch(WatchId id) { watchers_.erase(id); }
 
   std::uint64_t version() const { return version_; }
+
+  /// Successful deletes since construction. A name's object can only be
+  /// replaced by a delete (and re-create), so a reader caching immutable
+  /// fields by name needs to re-check them only after this counter moves.
+  std::uint64_t deletions() const { return deletions_; }
 
   /// Fault injection: overrides the watch-notification latency (an
   /// apiserver latency spike degrades every informer downstream). The
@@ -310,12 +327,16 @@ class ObjectStore {
       ++dropped_events_;
       return;
     }
+    // One immutable event per mutation, shared by every watcher's delivery
+    // closure: the object is copied once, not once per watcher, and a later
+    // write cannot reach an event already in flight.
+    auto shared = std::make_shared<const WatchEvent<T>>(std::move(event));
     // Snapshot the watcher ids; a watcher registered during delivery must
     // not observe this event twice (it replays current state instead).
     std::vector<WatchId> ids;
     ids.reserve(watchers_.size());
     for (const auto& [id, fn] : watchers_) ids.push_back(id);
-    for (const WatchId id : ids) Deliver(id, event);
+    for (const WatchId id : ids) Deliver(id, shared);
   }
 
   /// One (event, watcher) delivery at now + notify_latency. Both fan-out
@@ -323,13 +344,13 @@ class ObjectStore {
   /// in whether the closure gets a private engine event or rides the hub's
   /// per-time batch. Enqueue order equals legacy schedule order, so the
   /// watcher-visible sequence is identical across modes.
-  void Deliver(WatchId id, WatchEvent<T> event) {
+  void Deliver(WatchId id, std::shared_ptr<const WatchEvent<T>> event) {
     ++watch_deliveries_;
     const Time at = sim_->Now() + notify_latency_;
     auto closure = [this, id, event = std::move(event)] {
       auto it = watchers_.find(id);
       if (it == watchers_.end()) return;
-      it->second(event);
+      it->second(*event);
     };
     if (fanout_ == WatchFanout::kBatched) {
       hub_->Enqueue(at, std::move(closure));
@@ -350,6 +371,7 @@ class ObjectStore {
   std::map<WatchId, WatchFn> watchers_;
   std::uint64_t next_uid_ = 1;
   std::uint64_t version_ = 0;
+  std::uint64_t deletions_ = 0;
   WatchId next_watch_ = 1;
   int drop_pending_ = 0;
   std::uint64_t dropped_events_ = 0;

@@ -190,7 +190,7 @@ Status KubeShareDevMgr::RebuildFromApiServer() {
     if (!workload.empty() && cluster_->api().pods().Contains(workload)) {
       rec.workload_pod = workload;
       workload_owner_[workload] = name;
-      auto pod = cluster_->api().pods().Get(workload);
+      const k8s::Pod* pod = cluster_->api().pods().Find(workload);
       // Terminal pods adopt as kRunning; the reconcile pass repairs them
       // into Finish/Requeue exactly as it repairs a dropped watch event.
       rec.state = pod->status.phase == k8s::PodPhase::kPending
@@ -583,8 +583,8 @@ void KubeShareDevMgr::ReconcileOnce() {
   // dead even if no pod event ever said so.
   std::vector<GpuId> dead;
   for (const VgpuInfo* dev : pool_->List()) {
-    auto node = cluster_->api().nodes().Get(dev->node);
-    if (node.ok() && !node->ready) dead.push_back(dev->id);
+    const k8s::Node* node = cluster_->api().nodes().Find(dev->node);
+    if (node != nullptr && !node->ready) dead.push_back(dev->id);
   }
   for (const GpuId& id : dead) ReclaimVgpu(id, "reconcile: node NotReady");
 
@@ -600,12 +600,14 @@ void KubeShareDevMgr::ReconcileOnce() {
     if (rit == records_.end()) continue;  // repaired by an earlier entry
     const std::string workload = rit->second.workload_pod;
     if (workload.empty()) continue;
-    auto pod = cluster_->api().pods().Get(workload);
-    if (!pod.ok()) continue;
+    const k8s::Pod* pod = cluster_->api().pods().Find(workload);
+    if (pod == nullptr) continue;
     if (pod->status.phase == k8s::PodPhase::kSucceeded) {
       FinishSharePod(name, SharePodPhase::kSucceeded);
     } else if (pod->status.phase == k8s::PodPhase::kFailed) {
-      OnWorkloadPodFailed(name, pod->status.message);
+      // Copy first: the handler deletes the pod the pointer refers to.
+      const std::string message = pod->status.message;
+      OnWorkloadPodFailed(name, message);
     }
   }
 
@@ -623,9 +625,13 @@ void KubeShareDevMgr::ReconcileOnce() {
   }
 
   // Pass 4: scheduled sharePods the watch never delivered (dropped Add /
-  // Modified). List() is sorted by name.
-  for (const SharePod& sp : sharepods_->List()) {
-    if (sp.terminal() || !sp.scheduled()) continue;
+  // Modified). Snapshot (in name order) before handling, as HandleScheduled
+  // writes to the store; only the live scheduled subset is copied.
+  std::vector<SharePod> scheduled;
+  sharepods_->ForEach([&](const SharePod& sp) {
+    if (!sp.terminal() && sp.scheduled()) scheduled.push_back(sp);
+  });
+  for (const SharePod& sp : scheduled) {
     if (records_.count(sp.meta.name) > 0) continue;
     HandleScheduled(sp);
   }
@@ -693,8 +699,8 @@ void KubeShareDevMgr::TearDown(const std::string& name) {
   records_.erase(it);
   if (!workload.empty()) {
     workload_owner_.erase(workload);
-    auto pod = cluster_->api().pods().Get(workload);
-    if (pod.ok() && !pod->terminal()) {
+    const k8s::Pod* pod = cluster_->api().pods().Find(workload);
+    if (pod != nullptr && !pod->terminal()) {
       (void)cluster_->api().pods().Delete(workload, 0, Token());
     }
   }

@@ -2,12 +2,57 @@
 
 #include <cassert>
 #include <chrono>
-#include <iterator>
 
 #include "common/log.hpp"
 #include "k8s/resources.hpp"
 
 namespace ks::kubeshare {
+
+SchedQueue::Entry SchedQueue::Read(std::uint64_t seq, std::string name) const {
+  const SharePod* sp = sharepods_->Find(name);
+  return {sp != nullptr ? sp->spec.priority : 0, seq, std::move(name),
+          sp == nullptr};
+}
+
+bool SchedQueue::Push(const std::string& name) {
+  if (!queued_.insert(name).second) return false;
+  auto entry = Read(next_seq_++, name);
+  if (entry.missing) ++missing_;
+  index_.insert(std::move(entry));
+  return true;
+}
+
+void SchedQueue::Reread() {
+  std::set<Entry> fresh;
+  missing_ = 0;
+  for (const Entry& old : index_) {
+    auto entry = Read(old.seq, old.name);
+    if (entry.missing) ++missing_;
+    fresh.insert(std::move(entry));
+  }
+  index_ = std::move(fresh);
+}
+
+std::string SchedQueue::Pop() {
+  assert(!index_.empty());
+  if (sharepods_->deletions() != deletions_seen_ || missing_ > 0) {
+    deletions_seen_ = sharepods_->deletions();
+    Reread();
+  } else if (const SharePod* top = sharepods_->Find(index_.begin()->name);
+             top == nullptr || top->spec.priority != index_.begin()->priority) {
+    Reread();  // unreachable while spec.priority stays immutable
+  }
+  auto node = index_.extract(index_.begin());
+  if (node.value().missing) --missing_;
+  queued_.erase(node.value().name);
+  return std::move(node.value().name);
+}
+
+void SchedQueue::Clear() {
+  index_.clear();
+  queued_.clear();
+  missing_ = 0;
+}
 
 KubeShareSched::KubeShareSched(k8s::Cluster* cluster,
                                k8s::ObjectStore<SharePod>* sharepods,
@@ -15,7 +60,8 @@ KubeShareSched::KubeShareSched(k8s::Cluster* cluster,
     : cluster_(cluster),
       sharepods_(sharepods),
       pool_(pool),
-      config_(config) {
+      config_(config),
+      queue_(sharepods) {
   assert(cluster_ != nullptr && sharepods_ != nullptr && pool_ != nullptr);
 }
 
@@ -34,8 +80,7 @@ void KubeShareSched::Crash() {
   ++epoch_;
   sharepods_->Unwatch(watch_);
   watch_ = 0;
-  queue_.clear();
-  queued_.clear();
+  queue_.Clear();
   waiting_.clear();
   flush_scheduled_ = false;
   cycle_active_ = false;
@@ -114,34 +159,15 @@ void KubeShareSched::OnSharePodEvent(const k8s::WatchEvent<SharePod>& event) {
 }
 
 void KubeShareSched::Enqueue(const std::string& name) {
-  if (queued_.count(name) > 0) return;
-  queued_.insert(name);
-  queue_.push_back(name);
-  Pump();
+  if (queue_.Push(name)) Pump();
 }
 
 void KubeShareSched::Pump() {
   if (cycle_active_ || queue_.empty()) return;
   cycle_active_ = true;
-  // Highest priority first; FIFO among equals (queue_ is in arrival
-  // order). Unresolvable names fall back to priority 0 and get cleaned up
-  // by ScheduleOne.
-  auto pick = queue_.begin();
-  int best_priority = 0;
-  if (auto sp = sharepods_->Get(*pick); sp.ok()) {
-    best_priority = sp->spec.priority;
-  }
-  for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-    int priority = 0;
-    if (auto sp = sharepods_->Get(*it); sp.ok()) priority = sp->spec.priority;
-    if (priority > best_priority) {
-      best_priority = priority;
-      pick = it;
-    }
-  }
-  const std::string name = *pick;
-  queue_.erase(pick);
-  queued_.erase(name);
+  // Highest priority first; FIFO among equals. Unresolvable names count
+  // as priority 0 and get cleaned up by ScheduleOne.
+  const std::string name = queue_.Pop();
   // The O(N) term counts *live* sharePods (Fig 11): each cycle re-reads
   // the status of every non-terminal sharePod through the apiserver.
   // Completed sharePods drop out of the loop. ForEach, not List: the scan
@@ -163,8 +189,8 @@ void KubeShareSched::Pump() {
 }
 
 void KubeShareSched::ScheduleOne(const std::string& name) {
-  auto pod = sharepods_->Get(name);
-  if (!pod.ok() || pod->terminal()) return;
+  const SharePod* pod = sharepods_->Find(name);
+  if (pod == nullptr || pod->terminal()) return;
   if (pod->scheduled()) return;
 
   ScheduleRequest request;
@@ -198,9 +224,9 @@ void KubeShareSched::ScheduleOne(const std::string& name) {
           // Batch: everyone joins the queue before the next cycle starts,
           // so the priority pick sees the whole group.
           for (const std::string& waiter : parked) {
-            auto p = sharepods_->Get(waiter);
-            if (!p.ok() || p->terminal() || p->scheduled()) continue;
-            if (queued_.insert(waiter).second) queue_.push_back(waiter);
+            const SharePod* p = sharepods_->Find(waiter);
+            if (p == nullptr || p->terminal() || p->scheduled()) continue;
+            queue_.Push(waiter);
           }
           Pump();
         });

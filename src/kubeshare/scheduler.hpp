@@ -1,7 +1,8 @@
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <unordered_set>
 
@@ -14,6 +15,52 @@
 #include "kubeshare/sharepod.hpp"
 
 namespace ks::kubeshare {
+
+/// KubeShare-Sched's pending queue: highest priority first, arrival order
+/// among equals. A name's priority is the stored sharePod's spec.priority,
+/// or 0 when the name has no object (it is dropped by ScheduleOne).
+///
+/// Indexed on (priority descending, arrival ascending), with each priority
+/// read once at Push. spec.priority is immutable, so a cached priority can
+/// only go stale when its sharePod is deleted (or deleted and re-created
+/// under the same name): Pop re-reads every entry after the store's
+/// deletions() counter moves, or while an entry was pushed for a missing
+/// name, and otherwise re-checks only the entry it returns.
+class SchedQueue {
+ public:
+  explicit SchedQueue(const k8s::ObjectStore<SharePod>* sharepods)
+      : sharepods_(sharepods) {}
+
+  /// Appends `name` unless it is already queued; returns whether it was.
+  bool Push(const std::string& name);
+  /// Removes and returns the next name. Requires !empty().
+  std::string Pop();
+  void Clear();
+  bool empty() const { return index_.empty(); }
+  std::size_t size() const { return index_.size(); }
+
+ private:
+  struct Entry {
+    int priority = 0;
+    std::uint64_t seq = 0;
+    std::string name;
+    // No object at the last read: a re-create can raise its priority.
+    bool missing = false;
+    bool operator<(const Entry& o) const {
+      return priority != o.priority ? priority > o.priority : seq < o.seq;
+    }
+  };
+
+  Entry Read(std::uint64_t seq, std::string name) const;
+  void Reread();
+
+  const k8s::ObjectStore<SharePod>* sharepods_;
+  std::set<Entry> index_;
+  std::unordered_set<std::string> queued_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t missing_ = 0;
+  std::uint64_t deletions_seen_ = 0;
+};
 
 /// KubeShare-Sched: the controller that decides the container -> vGPU
 /// mapping (paper §4.3). It watches unscheduled sharePods, runs Algorithm 1
@@ -84,8 +131,7 @@ class KubeShareSched {
   KubeShareConfig config_;
   std::function<std::uint64_t()> token_provider_;
 
-  std::deque<std::string> queue_;
-  std::unordered_set<std::string> queued_;
+  SchedQueue queue_;
   /// Unschedulable sharePods parked until the next flush. Flushing them
   /// back as a group (rather than per-pod timers) lets priority reorder
   /// the contenders every time capacity might have freed up.

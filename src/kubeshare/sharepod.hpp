@@ -67,7 +67,9 @@ struct SharePodSpec {
   int slice_offset = -1;
   /// Scheduling priority: higher-priority sharePods leave the queue first
   /// (ties break FIFO). No preemption — priority orders admission only,
-  /// like Kubernetes PriorityClass without the eviction half.
+  /// like Kubernetes PriorityClass without the eviction half. Immutable
+  /// once created: no writer changes it in place, and KubeShare-Sched's
+  /// queue caches it by name until the sharePod is deleted.
   int priority = 0;
 };
 

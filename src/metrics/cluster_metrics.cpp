@@ -79,9 +79,9 @@ void ExportClusterMetrics(k8s::Cluster& cluster,
   }
 
   std::map<std::string, int> pods_by_phase;
-  for (const k8s::Pod& pod : cluster.api().pods().List()) {
+  cluster.api().pods().ForEach([&](const k8s::Pod& pod) {
     ++pods_by_phase[k8s::PodPhaseName(pod.status.phase)];
-  }
+  });
   for (const auto& [phase, count] : pods_by_phase) {
     exporter.Gauge("ks_pods", "Pod count by phase", {{"phase", phase}},
                    count);
@@ -118,9 +118,9 @@ void ExportClusterMetrics(k8s::Cluster& cluster,
   }
 
   std::map<std::string, int> sharepods_by_phase;
-  for (const kubeshare::SharePod& sp : kubeshare->sharepods().List()) {
+  kubeshare->sharepods().ForEach([&](const kubeshare::SharePod& sp) {
     ++sharepods_by_phase[kubeshare::SharePodPhaseName(sp.status.phase)];
-  }
+  });
   for (const auto& [phase, count] : sharepods_by_phase) {
     exporter.Gauge("ks_sharepods", "SharePod count by phase",
                    {{"phase", phase}}, count);

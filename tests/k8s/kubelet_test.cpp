@@ -67,7 +67,7 @@ TEST_F(KubeletTest, RunsBoundPodAndInjectsDeviceEnv) {
   BoundPod("p", 1000, 1);
   sim_.RunUntil(Seconds(5));
   EXPECT_EQ(PhaseOf("p"), PodPhase::kRunning);
-  const auto& env = api_->pods().Get("p")->status.effective_env;
+  const auto env = api_->pods().Get("p")->status.effective_env;
   EXPECT_EQ(env.at(kNvidiaVisibleDevices), "GPU-0");
   EXPECT_EQ(kubelet_->FreeDeviceUnits(), 1u);
   EXPECT_EQ(kubelet_->UnitsOf("p").size(), 1u);

@@ -101,6 +101,57 @@ TEST(StoreBatch, WatcherStreamByteEqualToUnbatched) {
   EXPECT_LT(batched.engine_events, batched.deliveries);
 }
 
+TEST(StoreBatch, EveryWatcherOfOneMutationSeesOneEqualObject) {
+  for (const WatchFanout fanout :
+       {WatchFanout::kUnbatched, WatchFanout::kBatched}) {
+    sim::Simulation sim;
+    ObjectStore<Pod> store(&sim, Millis(1), fanout);
+    // Per watcher: (event type, object) as delivered, plus the object's
+    // address — one immutable event is shared, not copied per watcher.
+    std::vector<std::vector<std::pair<std::string, const Pod*>>> seen(3);
+    for (auto& log : seen) {
+      store.Watch([&log](const WatchEvent<Pod>& ev) {
+        log.emplace_back(std::string(TypeName(ev.type)) + " " +
+                             ev.object.meta.name + " v" +
+                             std::to_string(ev.object.meta.resource_version) +
+                             " " + PodPhaseName(ev.object.status.phase),
+                         &ev.object);
+      });
+    }
+    ASSERT_TRUE(store.Create(MakePod("a")).ok());
+    auto pod = store.Get("a");
+    pod->status.phase = PodPhase::kRunning;
+    ASSERT_TRUE(store.Update(*pod).ok());
+    ASSERT_TRUE(store.Delete("a").ok());
+    sim.Run();
+    ASSERT_EQ(seen[0].size(), 3u);
+    for (std::size_t w = 1; w < seen.size(); ++w) {
+      ASSERT_EQ(seen[w].size(), seen[0].size());
+      for (std::size_t e = 0; e < seen[0].size(); ++e) {
+        EXPECT_EQ(seen[w][e].first, seen[0][e].first);
+        EXPECT_EQ(seen[w][e].second, seen[0][e].second) << "event " << e;
+      }
+    }
+    EXPECT_EQ(seen[0][1].first, "M a v2 Running");
+  }
+}
+
+TEST(StoreBatch, UpdateBeforeDeliveryLeavesBatchedEventUnchanged) {
+  sim::Simulation sim;
+  ObjectStore<Pod> store(&sim, Millis(1), WatchFanout::kBatched);
+  std::vector<std::string> seen;
+  store.Watch([&](const WatchEvent<Pod>& ev) {
+    seen.push_back(std::string(TypeName(ev.type)) + " " +
+                   PodPhaseName(ev.object.status.phase));
+  });
+  ASSERT_TRUE(store.Create(MakePod("a")).ok());
+  auto pod = store.Get("a");
+  pod->status.phase = PodPhase::kFailed;
+  ASSERT_TRUE(store.Update(*pod).ok());
+  sim.Run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"A Pending", "M Failed"}));
+}
+
 TEST(StoreBatch, ResourceVersionsOrderedWithinBatch) {
   sim::Simulation sim;
   ObjectStore<Pod> store(&sim, Millis(1), WatchFanout::kBatched);

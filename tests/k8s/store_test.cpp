@@ -60,6 +60,87 @@ TEST_F(StoreTest, DeleteRemoves) {
   EXPECT_EQ(store_.Delete("a").code(), StatusCode::kNotFound);
 }
 
+TEST_F(StoreTest, FindReturnsStoredObjectOrNull) {
+  Pod p = MakePod("a");
+  p.status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(store_.Create(p).ok());
+  const Pod* found = store_.Find("a");
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->meta.name, "a");
+  EXPECT_EQ(found->status.phase, PodPhase::kRunning);
+  EXPECT_EQ(found->meta.resource_version,
+            store_.Get("a")->meta.resource_version);
+  EXPECT_EQ(store_.Find("nope"), nullptr);
+  ASSERT_TRUE(store_.Delete("a").ok());
+  EXPECT_EQ(store_.Find("a"), nullptr);
+}
+
+TEST_F(StoreTest, DeletionsCountSuccessfulDeletesOnly) {
+  EXPECT_EQ(store_.deletions(), 0u);
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  ASSERT_TRUE(store_.Create(MakePod("b")).ok());
+  EXPECT_EQ(store_.Delete("ghost").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store_.Delete("a", /*expected_version=*/99).code(),
+            StatusCode::kConflict);
+  store_.fencing().Raise(5);
+  EXPECT_EQ(store_.Delete("a", 0, /*fencing_token=*/4).code(),
+            StatusCode::kConflict);
+  EXPECT_EQ(store_.deletions(), 0u);
+  ASSERT_TRUE(store_.Delete("a").ok());
+  EXPECT_EQ(store_.deletions(), 1u);
+  // Creates and updates never move it; a dropped notification still does.
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  ASSERT_TRUE(store_.Update(*store_.Get("a")).ok());
+  store_.DropEvents(1);
+  ASSERT_TRUE(store_.Delete("b").ok());
+  EXPECT_EQ(store_.deletions(), 2u);
+}
+
+TEST_F(StoreTest, UpdateAfterNotifyLeavesQueuedEventUnchanged) {
+  std::vector<Pod> seen;
+  store_.Watch([&](const WatchEvent<Pod>& ev) { seen.push_back(ev.object); });
+  Pod p = MakePod("a");
+  p.status.phase = PodPhase::kPending;
+  ASSERT_TRUE(store_.Create(p).ok());
+  // Both writes land before the Added event is delivered.
+  auto pod = store_.Get("a");
+  pod->status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(store_.Update(*pod).ok());
+  sim_.Run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].status.phase, PodPhase::kPending);
+  EXPECT_EQ(seen[0].meta.resource_version, 1u);
+  EXPECT_EQ(seen[1].status.phase, PodPhase::kRunning);
+  EXPECT_EQ(seen[1].meta.resource_version, 2u);
+}
+
+TEST_F(StoreTest, ReplayCarriesCurrentStateAndDropEventsSkipsNotifications) {
+  ASSERT_TRUE(store_.Create(MakePod("a")).ok());
+  auto pod = store_.Get("a");
+  pod->status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(store_.Update(*pod).ok());
+  ASSERT_TRUE(store_.Create(MakePod("b")).ok());
+  std::vector<std::string> seen;
+  store_.Watch([&](const WatchEvent<Pod>& ev) {
+    seen.push_back((ev.type == WatchEventType::kAdded ? "A " : "M ") +
+                   ev.object.meta.name + " v" +
+                   std::to_string(ev.object.meta.resource_version) + " " +
+                   PodPhaseName(ev.object.status.phase));
+  });
+  store_.DropEvents(1);
+  pod = store_.Get("b");
+  pod->status.phase = PodPhase::kRunning;
+  ASSERT_TRUE(store_.Update(*pod).ok());  // dropped at the apiserver
+  pod = store_.Get("b");
+  pod->status.phase = PodPhase::kSucceeded;
+  ASSERT_TRUE(store_.Update(*pod).ok());  // delivered
+  sim_.Run();
+  EXPECT_EQ(store_.dropped_events(), 1u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"A a v2 Running",
+                                            "A b v3 Pending",
+                                            "M b v5 Succeeded"}));
+}
+
 TEST_F(StoreTest, ListReturnsAll) {
   store_.Create(MakePod("a"));
   store_.Create(MakePod("b"));
