@@ -475,8 +475,8 @@ int main() {
   }
   token_table.Print(std::cout);
   std::printf(
-      "\nwheel-500us keeps deadlines exact (the window divides every daemon "
-      "\nduration) and already coalesces same-tick renewals; wheel-5ms "
+      "\nwheel-500us keeps grid-aligned deadlines exact (the window divides "
+      "\nevery daemon duration) and coalesces same-tick renewals; wheel-5ms "
       "trades\ndeadline precision for the headline event reduction.\n");
 
   // Kernel-heavy cluster scenario: scheduled-event counts per device

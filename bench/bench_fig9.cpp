@@ -149,7 +149,7 @@ int main() {
       RunTimeline(true, vgpu::TokenTimerMode::kWheel, Millis(5));
   std::cout << "\nKubeShare engine events: " << kshare_ref.total_events
             << " per-renewal reference, " << kshare.total_events
-            << " wheel (exact 500 us window), " << kshare_coarse.total_events
+            << " wheel (500 us window), " << kshare_coarse.total_events
             << " wheel (5 ms window, "
             << Cell(static_cast<double>(kshare_ref.total_events) /
                         static_cast<double>(kshare_coarse.total_events),

@@ -46,7 +46,7 @@ struct ClusterConfig {
   /// byte-identically to the strict-quota system.
   vgpu::OversubscriptionConfig oversub;
   /// Which token-renewal timer implementation the per-node daemons use:
-  /// the hierarchical timer wheel (default) or the one-event-per-deadline
+  /// the per-node timer wheel (default) or the one-event-per-deadline
   /// reference backend kept as the differential-test oracle.
   vgpu::TokenTimerMode token_timers = vgpu::TokenTimerMode::kWheel;
   /// Which device execution engine the GPUs use: the virtual-time core

@@ -16,6 +16,14 @@ TimerWheel::~TimerWheel() {
   if (armed_event_ != kInvalidEvent) sim_->Cancel(armed_event_);
 }
 
+bool TimerWheel::Later(const Entry& a, const Entry& b) {
+  if (a.deadline_tick != b.deadline_tick) {
+    return a.deadline_tick > b.deadline_tick;
+  }
+  if (a.due != b.due) return a.due > b.due;
+  return a.key > b.key;  // insertion order: ids embed the global sequence
+}
+
 std::uint64_t TimerWheel::TickOf(Time t) const {
   const std::int64_t us = t.count() > 0 ? t.count() : 0;
   return (static_cast<std::uint64_t>(us) +
@@ -42,33 +50,22 @@ void TimerWheel::ReleaseSlot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn = EventCallback();
   s.key = 0;
-  s.extracted = false;
   free_slots_.push_back(slot);
 }
 
-void TimerWheel::Place(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  const std::uint64_t delta =
-      s.deadline_tick > cur_tick_ ? s.deadline_tick - cur_tick_ : 0;
-  if (delta >= kTopSpan) {
-    s.level = kLevels;
-    s.bucket = 0;
-    overflow_.push_back(s.key);
-    return;
-  }
-  int level = 0;
-  while (delta >= (1ull << (kLevelBits * (level + 1)))) ++level;
-  const std::uint8_t bucket = static_cast<std::uint8_t>(
-      (s.deadline_tick >> (kLevelBits * level)) & (kBuckets - 1));
-  s.level = static_cast<std::uint8_t>(level);
-  s.bucket = bucket;
-  buckets_[level][bucket].push_back(s.key);
+void TimerWheel::PopTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  heap_.pop_back();
 }
 
-void TimerWheel::Unlink(const Slot& s, TimerId key) {
-  std::vector<TimerId>& bin =
-      s.level == kLevels ? overflow_ : buckets_[s.level][s.bucket];
-  bin.erase(std::remove(bin.begin(), bin.end(), key), bin.end());
+void TimerWheel::Retire() {
+  --live_;
+  if (live_ == 0) {
+    heap_.clear();
+  } else if (heap_.size() > 2 * live_ + 64) {
+    std::erase_if(heap_, [this](const Entry& e) { return !IsLive(e); });
+    std::make_heap(heap_.begin(), heap_.end(), Later);
+  }
 }
 
 TimerId TimerWheel::ScheduleAt(Time t, EventCallback fn) {
@@ -76,13 +73,12 @@ TimerId TimerWheel::ScheduleAt(Time t, EventCallback fn) {
   const std::uint32_t slot = AcquireSlot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  s.due = t;
   std::uint64_t dt = TickOf(t);
   if (dt < cur_tick_) dt = cur_tick_;
-  s.deadline_tick = dt;
   const TimerId key = (next_seq_++ << kSlotBits) | slot;
   s.key = key;
-  Place(slot);
+  heap_.push_back(Entry{dt, t, key});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   ++live_;
   ++stats_.scheduled;
   if (!firing_) {
@@ -106,13 +102,11 @@ TimerId TimerWheel::ScheduleAfter(Duration delay, EventCallback fn) {
 bool TimerWheel::Cancel(TimerId id) {
   if (id == kInvalidTimer) return false;
   const std::uint64_t slot = id & kSlotMask;
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (s.key != id) return false;
-  if (!s.extracted) Unlink(s, id);
+  if (slot >= slots_.size() || slots_[slot].key != id) return false;
+  // The heap entry stays behind, dead: its slot no longer carries `id`.
   ReleaseSlot(static_cast<std::uint32_t>(slot));
-  --live_;
   ++stats_.cancelled;
+  Retire();
   if (live_ == 0 && !firing_ && armed_event_ != kInvalidEvent) {
     sim_->Cancel(armed_event_);
     armed_event_ = kInvalidEvent;
@@ -122,16 +116,12 @@ bool TimerWheel::Cancel(TimerId id) {
 
 std::size_t TimerWheel::InvalidateAll() {
   const std::size_t dropped = live_;
-  for (int level = 0; level < kLevels; ++level) {
-    for (std::uint64_t b = 0; b < kBuckets; ++b) buckets_[level][b].clear();
-  }
-  overflow_.clear();
+  heap_.clear();
   free_slots_.clear();
   for (std::size_t i = slots_.size(); i-- > 0;) {
     Slot& s = slots_[i];
     s.fn = EventCallback();
     s.key = 0;
-    s.extracted = false;
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
   live_ = 0;
@@ -149,115 +139,29 @@ void TimerWheel::ArmAt(std::uint64_t target_tick) {
   armed_event_ = sim_->ScheduleAt(at, [this] { OnTick(); });
 }
 
-std::uint64_t TimerWheel::FindNextTarget() const {
-  // Exhaustive min-deadline scan: 3*64 bucket checks plus one comparison
-  // per resident timer. The wheel serves tens of timers, so this is
-  // cheaper than maintaining incremental occupancy summaries — and it
-  // lets the armed event target the deadline itself instead of a cascade
-  // boundary, so no engine event is ever spent on bookkeeping alone.
-  std::uint64_t best = UINT64_MAX;
-  for (int level = 0; level < kLevels; ++level) {
-    for (std::uint64_t b = 0; b < kBuckets; ++b) {
-      for (const TimerId key : buckets_[level][b]) {
-        const Slot& s = slots_[key & kSlotMask];
-        if (s.deadline_tick < best) best = s.deadline_tick;
-      }
-    }
-  }
-  for (const TimerId key : overflow_) {
-    const Slot& s = slots_[key & kSlotMask];
-    if (s.deadline_tick < best) best = s.deadline_tick;
-  }
-  assert(best != UINT64_MAX);
-  return best;
-}
-
-void TimerWheel::CascadeAcross(std::uint64_t from_tick,
-                               std::uint64_t to_tick) {
-  // The jump from_tick -> to_tick crossed some coarse bucket positions;
-  // re-place the contents of each crossed position (at most one full
-  // rotation per level) so everything due soon refines toward level 0.
-  // Overflow first, then coarse-to-fine: each stage may deposit into a
-  // bucket a finer stage is about to sweep.
-  std::vector<TimerId> moved;
-  if (!overflow_.empty()) {
-    std::vector<TimerId> keep;
-    for (const TimerId key : overflow_) {
-      const Slot& s = slots_[key & kSlotMask];
-      if (s.deadline_tick - to_tick < kTopSpan) {
-        moved.push_back(key);
-      } else {
-        keep.push_back(key);
-      }
-    }
-    overflow_.swap(keep);
-    for (const TimerId key : moved) Place(key & kSlotMask);
-  }
-  for (int level = kLevels - 1; level >= 1; --level) {
-    const int shift = kLevelBits * level;
-    const std::uint64_t from = from_tick >> shift;
-    const std::uint64_t to = to_tick >> shift;
-    if (to == from) continue;
-    const std::uint64_t steps = std::min(to - from, kBuckets);
-    for (std::uint64_t i = 1; i <= steps; ++i) {
-      std::vector<TimerId>& bucket =
-          buckets_[level][(from + i) & (kBuckets - 1)];
-      if (bucket.empty()) continue;
-      moved.clear();
-      moved.swap(bucket);
-      for (const TimerId key : moved) Place(key & kSlotMask);
-    }
-  }
-}
-
 void TimerWheel::OnTick() {
   armed_event_ = kInvalidEvent;
-  const std::uint64_t from = cur_tick_;
   if (armed_target_ > cur_tick_) cur_tick_ = armed_target_;
   ++stats_.ticks;
   firing_ = true;
-  CascadeAcross(from, cur_tick_);
-
-  // Fire every due timer at this tick in (requested time, insertion seq)
-  // order. Callbacks may push new same-tick timers into the bucket, so
-  // loop until an extraction pass comes up empty.
-  std::vector<TimerId> batch;
-  std::vector<TimerId> keep;
-  while (true) {
-    std::vector<TimerId>& bucket = buckets_[0][cur_tick_ & (kBuckets - 1)];
-    batch.clear();
-    keep.clear();
-    for (const TimerId key : bucket) {
-      Slot& s = slots_[key & kSlotMask];
-      if (s.deadline_tick <= cur_tick_) {
-        s.extracted = true;
-        batch.push_back(key);
-      } else {
-        keep.push_back(key);
-      }
-    }
-    bucket.swap(keep);
-    if (batch.empty()) break;
-    std::sort(batch.begin(), batch.end(), [this](TimerId a, TimerId b) {
-      const Slot& sa = slots_[a & kSlotMask];
-      const Slot& sb = slots_[b & kSlotMask];
-      if (sa.due != sb.due) return sa.due < sb.due;
-      return a < b;  // insertion order: ids embed the global sequence
-    });
-    for (const TimerId key : batch) {
-      const std::uint32_t slot = static_cast<std::uint32_t>(key & kSlotMask);
-      Slot& s = slots_[slot];
-      if (s.key != key) continue;  // cancelled or invalidated mid-batch
-      EventCallback fn = std::move(s.fn);
-      ReleaseSlot(slot);
-      --live_;
-      ++stats_.fired;
-      fn();
-    }
+  // Pop every due timer in (requested time, insertion seq) order. A timer
+  // a callback adds for this instant is due now and orders after every
+  // timer already due, so it fires later in this same loop.
+  while (!heap_.empty() && heap_.front().deadline_tick <= cur_tick_) {
+    const Entry top = heap_.front();
+    PopTop();
+    if (!IsLive(top)) continue;  // cancelled, possibly mid-batch
+    const std::uint32_t slot = static_cast<std::uint32_t>(top.key & kSlotMask);
+    EventCallback fn = std::move(slots_[slot].fn);
+    ReleaseSlot(slot);
+    ++stats_.fired;
+    Retire();
+    fn();
   }
   firing_ = false;
   if (live_ > 0) {
-    ArmAt(FindNextTarget());
+    while (!IsLive(heap_.front())) PopTop();
+    ArmAt(heap_.front().deadline_tick);
   }
 }
 

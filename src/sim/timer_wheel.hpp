@@ -15,8 +15,8 @@ namespace ks::sim {
 using TimerId = std::uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
 
-/// Hierarchical timer wheel (Varghese & Lauck) multiplexing many timers
-/// onto ONE pending simulation event.
+/// Quantized timer set multiplexing many timers onto ONE pending
+/// simulation event.
 ///
 /// The engine's heap already makes individual timers cheap; what it cannot
 /// do is make N timers cost less than N events. Components with per-entity
@@ -25,31 +25,34 @@ inline constexpr TimerId kInvalidTimer = 0;
 /// 64-container node was worth hundreds of heap pushes per simulated
 /// second. The wheel batches them: deadlines are quantized UP to a tick
 /// grid (`tick` — the coalescing window), same-tick timers fire from a
-/// single engine event, and the wheel keeps exactly one event armed, at
-/// the earliest non-empty tick.
+/// single engine event, and the wheel keeps exactly one event armed.
 ///
 /// Semantics:
-///  - a timer scheduled for time T fires at QuantizeUp(T) — with tick
-///    <= 1us the wheel is exact, since sim::Time has microsecond
-///    resolution;
-///  - timers sharing a fire instant run ordered by (requested time,
-///    insertion order), matching the engine's own FIFO tie-break, so a
-///    component ported from raw events keeps its event ordering whenever
-///    its deadlines land on the grid;
+///  - a timer scheduled for time T (clamped to now) fires at tick
+///    max(ceil(T / tick), current tick) — with tick <= 1us the wheel is
+///    exact, since sim::Time has microsecond resolution;
+///  - the armed event targets the earliest deadline and moves only when a
+///    new deadline is strictly earlier; cancelling the last timer
+///    disarms the wheel, while cancelling the earliest of several leaves
+///    the armed event in place (that tick fires nothing and re-arms);
+///  - a tick fires every due timer ordered by (requested time, insertion
+///    order), matching the engine's own FIFO tie-break, so a component
+///    ported from raw events keeps its event ordering whenever its
+///    deadlines land on the grid;
 ///  - callbacks may schedule and cancel freely, including new timers due
-///    at the instant currently firing;
+///    at the instant currently firing (they fire after every timer already
+///    due, in the same tick);
 ///  - InvalidateAll() drops every pending timer at once (the token
 ///    backend's restart path: nothing from the old incarnation may fire
 ///    into the new one).
 ///
-/// Layout: three 64-slot levels (spans of 64, 64^2, 64^3 ticks) plus an
-/// unsorted overflow bin for timers beyond the top span. The armed event
-/// always targets an actual deadline (the earliest one); when the wheel
-/// jumps there it cascades every coarse bucket position the jump crossed,
-/// so far timers refine toward level 0 with amortized-constant work and
-/// no engine event is ever spent on bookkeeping alone. Re-arm scans are
-/// O(buckets + resident timers), which is trivial at the fan-in the wheel
-/// exists to serve (tens of timers per wheel).
+/// Layout: one binary min-heap of (deadline tick, requested time, id)
+/// entries — a total order, since ids are unique — next to a slot arena
+/// holding the callbacks. Cancel() is lazy: an entry is live while its
+/// slot still carries its id, and dead entries are skipped when they
+/// surface. The heap is emptied when the last timer goes and compacted
+/// once it holds more than 2 x pending() + 64 entries, so its size stays
+/// bounded by the live count however long the cancel churn runs.
 class TimerWheel {
  public:
   /// `tick` is the quantization grid (coalescing window). Values <= 1us
@@ -79,50 +82,50 @@ class TimerWheel {
 
   std::size_t pending() const { return live_; }
   bool armed() const { return armed_event_ != kInvalidEvent; }
+  /// Heap entries held, live and cancelled (observability and the
+  /// bounded-state tests): at most 2 x pending() + 64, and 0 when idle.
+  std::size_t retained_entries() const { return heap_.size(); }
 
   struct Stats {
     std::uint64_t scheduled = 0;    ///< timers accepted
     std::uint64_t fired = 0;        ///< timer callbacks run
     std::uint64_t cancelled = 0;    ///< explicit Cancel() hits
     std::uint64_t invalidated = 0;  ///< dropped by InvalidateAll()
-    /// Engine events the wheel consumed. Every tick fires at least one
-    /// timer; fired / ticks is the coalescing ratio the wheel earns.
+    /// Engine events the wheel consumed. A tick fires nothing when the
+    /// timer it was armed for was cancelled while others stayed pending;
+    /// fired / ticks is the coalescing ratio the wheel earns.
     std::uint64_t ticks = 0;
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  static constexpr int kLevelBits = 6;
-  static constexpr std::uint64_t kBuckets = 1ull << kLevelBits;  // 64
-  static constexpr int kLevels = 3;
-  static constexpr std::uint64_t kTopSpan = 1ull << (kLevelBits * kLevels);
   static constexpr int kSlotBits = 20;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
 
   struct Slot {
     EventCallback fn;
     TimerId key = 0;  // 0 = vacant
-    Time due{0};      // requested (pre-quantization) fire time
-    std::uint64_t deadline_tick = 0;
-    // Current residence, so Cancel can unlink in O(bucket size).
-    std::uint8_t level = 0;  // kLevels == overflow bin
-    std::uint8_t bucket = 0;
-    bool extracted = false;  // pulled into the currently-firing batch
   };
+  struct Entry {
+    std::uint64_t deadline_tick = 0;
+    Time due{0};  // requested (pre-quantization) fire time
+    TimerId key = 0;
+  };
+  /// Heap order: the top is the earliest (deadline, due, key).
+  static bool Later(const Entry& a, const Entry& b);
 
   std::uint64_t TickOf(Time t) const;
+  bool IsLive(const Entry& e) const {
+    return slots_[e.key & kSlotMask].key == e.key;
+  }
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::uint32_t slot);
-  /// Files a slot into the level/bucket its deadline demands, relative to
-  /// cur_tick_.
-  void Place(std::uint32_t slot);
-  void Unlink(const Slot& s, TimerId key);
-  /// Ensures the armed engine event targets the earliest actionable tick.
-  void Rearm();
-  std::uint64_t FindNextTarget() const;
+  void PopTop();
+  /// Accounts one timer leaving (fired or cancelled) and keeps the heap
+  /// bounded by the live count.
+  void Retire();
   void ArmAt(std::uint64_t target_tick);
   void OnTick();
-  void CascadeAcross(std::uint64_t from_tick, std::uint64_t to_tick);
 
   Simulation* sim_;
   std::int64_t tick_us_;
@@ -134,8 +137,7 @@ class TimerWheel {
   EventId armed_event_ = kInvalidEvent;
   std::uint64_t armed_target_ = 0;
 
-  std::vector<TimerId> buckets_[kLevels][kBuckets];
-  std::vector<TimerId> overflow_;
+  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   Stats stats_;

@@ -134,10 +134,12 @@ struct BackendConfig {
   Duration restart_downtime = Millis(50);
   /// Timer-wheel tick of the wheel-based TokenBackend: renewals landing in
   /// the same window fire from one engine event. The default is the GCD of
-  /// every other duration knob above, so daemon deadlines stay exact under
-  /// the default config — coarsen it to trade deadline precision for fewer
-  /// events (bench_engine's token-cluster scenario measures the trade).
-  /// TokenBackendReference ignores this knob.
+  /// every other duration knob above, so a deadline a grid-aligned event
+  /// sets stays exact; one set from an off-grid instant (a RequestToken
+  /// from a kernel completion, say) rounds up to the next window. Coarsen
+  /// it to trade deadline precision for fewer events (bench_engine's
+  /// token-cluster scenario measures the trade). TokenBackendReference
+  /// ignores this knob.
   Duration coalesce_window = Micros(500);
   /// Spatial sharing (MIG-style slices): when enabled, TokenBackend grants
   /// multiple simultaneous tokens per device as long as the holders' SM-
@@ -202,9 +204,12 @@ class TokenClient {
 /// Two implementations exist: TokenBackend (default) batches every daemon
 /// deadline onto a per-node timer wheel, and TokenBackendReference keeps
 /// one engine event per deadline. The reference is the documentation of
-/// record for the paper's semantics — the wheel must match it trace-for-
-/// trace (tests/vgpu/token_wheel_equivalence_test.cpp), mirroring the
-/// ScheduleSharePod / ScheduleSharePodReference oracle pair.
+/// record for the paper's semantics. The wheel matches it trace-for-trace
+/// when every input lands on the coalesce_window grid
+/// (tests/vgpu/token_wheel_equivalence_test.cpp), mirroring the
+/// ScheduleSharePod / ScheduleSharePodReference oracle pair; off-grid
+/// inputs make the wheel's deadlines round up, so a full cluster run's
+/// trace differs between the two.
 class TokenBackendApi {
  public:
   virtual ~TokenBackendApi() = default;
@@ -461,9 +466,11 @@ enum class TokenTimerMode {
 /// expiries, grant hand-offs, throttle re-evaluations, restart downtime)
 /// lives on one per-node sim::TimerWheel, so the whole daemon keeps at
 /// most ONE engine event armed. Deadlines are quantized up to
-/// BackendConfig::coalesce_window; with the default window (the GCD of the
-/// default config durations) daemon behaviour is tick-for-tick identical
-/// to TokenBackendReference.
+/// BackendConfig::coalesce_window. With the default window (the GCD of the
+/// default config durations) daemon behaviour matches TokenBackendReference
+/// tick for tick as long as requests, releases and registrations arrive on
+/// the grid; a hand-off requested off the grid completes at the next grid
+/// instant instead of exactly exchange_latency later.
 class TokenBackend : public TokenBackendApi {
  public:
   TokenBackend(sim::Simulation* sim, BackendConfig config = {});

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/simulation.hpp"
 
 namespace ks::sim {
@@ -117,8 +118,9 @@ TEST(TimerWheelTest, InvalidateAllDropsEverything) {
 TEST(TimerWheelTest, FarDeadlinesCascadeToExactFireTimes) {
   Simulation sim;
   TimerWheel wheel(&sim, Micros(1));
-  // 1 s at a 1 us tick is 10^6 ticks: beyond the 64^3-tick top span, so
-  // this exercises the overflow bin and every cascade level.
+  // 1 s at a 1 us tick is 10^6 ticks, and the three deadlines sit orders
+  // of magnitude apart: each must still fire at its exact microsecond,
+  // whatever the distance to the next one.
   std::vector<std::int64_t> fired;
   wheel.ScheduleAt(Seconds(1.0), [&] { fired.push_back(sim.Now().count()); });
   wheel.ScheduleAt(Millis(300), [&] { fired.push_back(sim.Now().count()); });
@@ -214,6 +216,35 @@ TEST(TimerWheelTest, StatsCountCoalescing) {
   EXPECT_EQ(wheel.stats().fired, 80u);
   // All four devices' renewals in window k collapse onto one tick.
   EXPECT_LE(wheel.stats().ticks, 21u);
+}
+
+TEST(TimerWheelTest, CancelledEntriesStayBoundedByLiveCount) {
+  // Renewal-style churn: each of up to 64 streams keeps one pending
+  // deadline and replaces it (Cancel + ScheduleAfter) far more often than
+  // it fires. Cancelled heap entries must be compacted away, not pile up
+  // for the life of the run.
+  Simulation sim;
+  TimerWheel wheel(&sim, Micros(500));
+  Rng rng(20261018);
+  std::vector<TimerId> streams(64, kInvalidTimer);
+  std::size_t worst_excess = 0;
+  for (int cycle = 0; cycle < 1'000'000; ++cycle) {
+    TimerId& id = streams[static_cast<std::size_t>(rng.UniformInt(0, 63))];
+    wheel.Cancel(id);
+    id = wheel.ScheduleAfter(Micros(rng.UniformInt(500, 3000)), [] {});
+    // A stream left alone for a few ms sees its deadline fire.
+    if (cycle % 64 == 0) sim.RunUntil(sim.Now() + Micros(500));
+    ASSERT_LE(wheel.retained_entries(), 2 * wheel.pending() + 64)
+        << "cycle " << cycle;
+    worst_excess = std::max(worst_excess,
+                            wheel.retained_entries() - wheel.pending());
+  }
+  EXPECT_GT(worst_excess, 0u);  // cancellation is lazy, not eager
+  EXPECT_GT(wheel.stats().fired, 0u);
+  for (const TimerId id : streams) wheel.Cancel(id);
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(wheel.retained_entries(), 0u);
+  EXPECT_FALSE(wheel.armed());
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "sim/timer_wheel.hpp"
+#include "vgpu/token_backend_reference.hpp"
+
 namespace ks::vgpu {
 namespace {
 
@@ -310,6 +315,66 @@ TEST_F(TokenBackendTest, GrantsCounterAdvances) {
   ASSERT_TRUE(backend_->RequestToken(ContainerId("a")).ok());
   sim_.RunUntil(Seconds(1));
   EXPECT_EQ(backend_->grants(), static_cast<std::uint64_t>(clients_[0]->grants));
+}
+
+/// Records when the hand-off completes, for either backend.
+class GrantClock : public TokenClient {
+ public:
+  explicit GrantClock(sim::Simulation* sim) : sim_(sim) {}
+  void OnTokenGranted(Time expiry) override {
+    granted_at = sim_->Now();
+    last_expiry = expiry;
+  }
+  void OnTokenExpired() override {}
+
+  sim::Simulation* sim_;
+  Time granted_at{-1};
+  Time last_expiry{-1};
+};
+
+/// One container asks for the token at `request_at` on an idle device;
+/// returns (grant instant, promised expiry).
+template <typename Backend>
+std::pair<Time, Time> GrantForRequestAt(Time request_at) {
+  sim::Simulation sim;
+  Backend backend(&sim, BackendConfig{});
+  const GpuUuid dev("GPU-0");
+  backend.RegisterDevice(dev);
+  GrantClock client(&sim);
+  ResourceSpec spec;
+  spec.gpu_request = 0.3;
+  spec.gpu_limit = 1.0;
+  EXPECT_TRUE(
+      backend.RegisterContainer(ContainerId("c1"), dev, spec, &client).ok());
+  sim.ScheduleAt(request_at, [&] {
+    EXPECT_TRUE(backend.RequestToken(ContainerId("c1")).ok());
+  });
+  sim.RunUntil(request_at + Millis(10));
+  return {client.granted_at, client.last_expiry};
+}
+
+TEST(TokenBackendOffGridTest, WheelRoundsHandOffUpReferenceIsExact) {
+  // Request times off the coalesce_window grid make the wheel's hand-off
+  // land on the next grid instant, while the per-event reference grants
+  // at exactly request + exchange_latency: the two backends agree only
+  // for grid-aligned inputs.
+  const BackendConfig cfg;
+  const Time request_at = Micros(1234);
+  const Time exact = request_at + cfg.exchange_latency;  // 2734 us
+  sim::Simulation grid_sim;
+  const Time quantized =
+      sim::TimerWheel(&grid_sim, cfg.coalesce_window).QuantizeUp(exact);
+  ASSERT_EQ(quantized, Micros(3000));
+
+  EXPECT_EQ(GrantForRequestAt<TokenBackend>(request_at),
+            std::make_pair(quantized, quantized + cfg.quota));
+  EXPECT_EQ(GrantForRequestAt<TokenBackendReference>(request_at),
+            std::make_pair(exact, exact + cfg.quota));
+
+  // On the grid both backends hand off at the same instant.
+  const std::pair<Time, Time> aligned{Micros(2500), Micros(2500) + cfg.quota};
+  EXPECT_EQ(GrantForRequestAt<TokenBackend>(Micros(1000)), aligned);
+  EXPECT_EQ(GrantForRequestAt<TokenBackendReference>(Micros(1000)), aligned);
 }
 
 }  // namespace
