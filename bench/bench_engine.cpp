@@ -20,6 +20,7 @@
 // Writes BENCH_engine.json (schema ks-bench/1) with one row per
 // (pattern, engine) holding events/sec, plus a ratio row per pattern.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -261,8 +262,14 @@ struct PatternResult {
 // ---------------------------------------------------------------------------
 // Token-heavy cluster scenario: how many engine events the per-node daemon
 // schedules under each timer implementation. 16 devices x 4 greedy
-// containers each, staggered arrivals, 30 simulated seconds of continuous
+// containers each, staggered arrivals, six simulated hours of continuous
 // token exchange — the renewal-storm shape that motivated the timer wheel.
+// The horizon makes every row execute over a million events (the 5 ms
+// wheel's row is the smallest), so its Mev/s is the steady-state rate, not
+// set-up; each row reports the median rate of three identical runs.
+
+const ks::Duration kTokenClusterHorizon = ks::Seconds(6 * 3600.0);
+constexpr int kTokenClusterRuns = 3;
 
 struct GreedyTokenClient : ks::vgpu::TokenClient {
   ks::vgpu::TokenBackendApi* backend = nullptr;
@@ -277,6 +284,7 @@ struct GreedyTokenClient : ks::vgpu::TokenClient {
 struct TokenClusterResult {
   std::string mode;
   std::uint64_t total_events = 0;
+  std::uint64_t executed = 0;
   std::uint64_t grants = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
@@ -328,17 +336,34 @@ TokenClusterResult TokenClusterScenario(const std::string& mode_name,
   }
 
   const double t0 = NowSec();
-  sim.RunUntil(Seconds(30.0));
+  sim.RunUntil(kTokenClusterHorizon);
   const double wall = NowSec() - t0;
 
   TokenClusterResult result;
   result.mode = mode_name;
   result.total_events = sim.lifetime_events();
+  result.executed = sim.executed();
   result.grants = backend->grants();
   result.wall_s = wall;
   result.events_per_sec =
       static_cast<double>(sim.executed()) / (wall > 0.0 ? wall : 1.0);
   return result;
+}
+
+/// The scenario run kTokenClusterRuns times; the event counts are
+/// deterministic, the reported rate is the median run's.
+TokenClusterResult MedianTokenCluster(const std::string& mode_name,
+                                      ks::vgpu::TokenTimerMode mode,
+                                      ks::Duration coalesce_window) {
+  std::vector<TokenClusterResult> runs;
+  for (int i = 0; i < kTokenClusterRuns; ++i) {
+    runs.push_back(TokenClusterScenario(mode_name, mode, coalesce_window));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const TokenClusterResult& a, const TokenClusterResult& b) {
+              return a.events_per_sec < b.events_per_sec;
+            });
+  return runs[runs.size() / 2];
 }
 
 // ---------------------------------------------------------------------------
@@ -451,24 +476,27 @@ int main() {
 
   // Token-heavy cluster scenario: scheduled-event counts per timer mode.
   std::printf(
-      "\nToken-cluster scenario: 16 devices x 4 greedy containers, 30 "
-      "simulated\nseconds of token exchange. 'total events' counts every "
-      "event scheduled on\nthe engine; the wheel batches renewals per "
-      "coalescing window.\n\n");
+      "\nToken-cluster scenario: 16 devices x 4 greedy containers, 6 "
+      "simulated\nhours of token exchange. 'total events' counts every "
+      "event scheduled on\nthe engine, 'executed' the ones it ran; the "
+      "wheel batches renewals per\ncoalescing window. Mev/s is the median "
+      "of %d runs.\n\n",
+      kTokenClusterRuns);
   std::vector<TokenClusterResult> token_rows;
-  token_rows.push_back(TokenClusterScenario(
+  token_rows.push_back(MedianTokenCluster(
       "reference", vgpu::TokenTimerMode::kReference, Micros(500)));
-  token_rows.push_back(TokenClusterScenario(
+  token_rows.push_back(MedianTokenCluster(
       "wheel-500us", vgpu::TokenTimerMode::kWheel, Micros(500)));
-  token_rows.push_back(TokenClusterScenario(
+  token_rows.push_back(MedianTokenCluster(
       "wheel-5ms", vgpu::TokenTimerMode::kWheel, Millis(5)));
   const double ref_events =
       static_cast<double>(token_rows.front().total_events);
-  Table token_table(
-      {"timers", "total events", "grants", "reduction", "Mev/s"});
+  Table token_table({"timers", "total events", "executed", "grants",
+                     "reduction", "Mev/s"});
   for (const TokenClusterResult& r : token_rows) {
     token_table.AddRow(
         {r.mode, Cell(static_cast<std::int64_t>(r.total_events)),
+         Cell(static_cast<std::int64_t>(r.executed)),
          Cell(static_cast<std::int64_t>(r.grants)),
          Cell(ref_events / static_cast<double>(r.total_events), 2),
          Cell(r.events_per_sec / 1e6, 2)});

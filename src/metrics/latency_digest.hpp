@@ -73,8 +73,8 @@ class LatencyDigest {
 
   /// Quantile over the union of two digests without materializing the
   /// merge — the windowed estimator queries (current + previous epoch)
-  /// per admission decision, and a 15 KiB copy per request would dwarf
-  /// the update cost this class exists to avoid.
+  /// on every probe, and a 15 KiB copy per query would dwarf the update
+  /// cost this class exists to avoid.
   static Duration QuantileUnion(const LatencyDigest& a, const LatencyDigest& b,
                                 double q) {
     return QuantileOver(a, &b, q);
@@ -107,6 +107,22 @@ class LatencyDigest {
            static_cast<int>((v >> shift) & (kSubBuckets - 1));
   }
 
+  /// 1-based rank of the nearest-rank q-quantile among `total` samples:
+  /// ceil(q * total), q clamped to [0, 1], the result to [1, total]; 0 when
+  /// there are no samples. The one rank rule of the repo — Quantile and the
+  /// token daemon's counted SLO admission both select with it.
+  static std::uint64_t NearestRank(double q, std::uint64_t total) noexcept {
+    if (total == 0) return 0;
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    std::uint64_t rank =
+        static_cast<std::uint64_t>(q * static_cast<double>(total));
+    if (static_cast<double>(rank) < q * static_cast<double>(total)) ++rank;
+    if (rank == 0) rank = 1;
+    if (rank > total) rank = total;
+    return rank;
+  }
+
   /// Smallest microsecond value mapping to bucket `idx` — the quantile
   /// representative.
   static std::uint64_t LowerEdge(int idx) noexcept {
@@ -121,13 +137,7 @@ class LatencyDigest {
                                double q) {
     const std::uint64_t total = a.count_ + (b != nullptr ? b->count_ : 0);
     if (total == 0) return Duration{0};
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
-    std::uint64_t rank =
-        static_cast<std::uint64_t>(q * static_cast<double>(total));
-    if (static_cast<double>(rank) < q * static_cast<double>(total)) ++rank;
-    if (rank == 0) rank = 1;
-    if (rank > total) rank = total;
+    const std::uint64_t rank = NearestRank(q, total);
     std::uint64_t cum = 0;
     for (int i = 0; i < kBuckets; ++i) {
       cum += a.counts_[i] + (b != nullptr ? b->counts_[i] : 0);
@@ -145,38 +155,21 @@ class LatencyDigest {
   std::uint64_t max_us_ = 0;
 };
 
-/// Sliding-window view over a LatencyDigest: two rotating epochs, queried
-/// as their union, so "observed p99" always covers between one and two
-/// windows of history. Rotation happens lazily on access — the estimator
-/// owes the simulation engine no events, matching the TickHub discipline
-/// that periodic instruments must not keep private timers.
-class WindowedLatencyDigest {
+/// The two-epoch sliding-window rule every windowed estimator shares:
+/// samples land in the current epoch and queries read current + previous,
+/// so a window-W view always covers between one and two windows of
+/// history. Rotation happens lazily on access — the estimator owes the
+/// simulation engine no events, matching the TickHub discipline that
+/// periodic instruments must not keep private timers. `Epoch` is any
+/// copyable per-epoch summary with a Clear().
+template <typename Epoch>
+class TwoEpochWindow {
  public:
-  explicit WindowedLatencyDigest(Duration window) : window_(window) {}
+  explicit TwoEpochWindow(Duration window) : window_(window) {}
 
-  void Record(Time now, Duration d) noexcept {
-    MaybeRotate(now);
-    current_.Record(d);
-  }
-
-  Duration Quantile(Time now, double q) {
-    MaybeRotate(now);
-    return LatencyDigest::QuantileUnion(current_, previous_, q);
-  }
-  double QuantileSeconds(Time now, double q) {
-    return ToSeconds(Quantile(now, q));
-  }
-
-  /// Samples inside the current + previous epoch.
-  std::uint64_t WindowCount(Time now) {
-    MaybeRotate(now);
-    return current_.count() + previous_.count();
-  }
-
-  Duration window() const { return window_; }
-
- private:
-  void MaybeRotate(Time now) noexcept {
+  /// Rotates the epochs up to `now`. Idempotent for a fixed `now`; a
+  /// non-positive window never rotates.
+  void Advance(Time now) noexcept {
     if (window_.count() <= 0) return;
     if (now < epoch_ + window_) return;
     if (now >= epoch_ + window_ + window_) {
@@ -192,10 +185,49 @@ class WindowedLatencyDigest {
     epoch_ += window_;
   }
 
+  Epoch& current() noexcept { return current_; }
+  const Epoch& current() const noexcept { return current_; }
+  const Epoch& previous() const noexcept { return previous_; }
+  Duration window() const { return window_; }
+
+ private:
   Duration window_;
   Time epoch_{0};
-  LatencyDigest current_;
-  LatencyDigest previous_;
+  Epoch current_{};
+  Epoch previous_{};
+};
+
+/// Sliding-window view over a LatencyDigest: two rotating epochs
+/// (TwoEpochWindow), queried as their union, so "observed p99" always
+/// covers between one and two windows of history.
+class WindowedLatencyDigest {
+ public:
+  explicit WindowedLatencyDigest(Duration window) : epochs_(window) {}
+
+  void Record(Time now, Duration d) noexcept {
+    epochs_.Advance(now);
+    epochs_.current().Record(d);
+  }
+
+  Duration Quantile(Time now, double q) {
+    epochs_.Advance(now);
+    return LatencyDigest::QuantileUnion(epochs_.current(), epochs_.previous(),
+                                        q);
+  }
+  double QuantileSeconds(Time now, double q) {
+    return ToSeconds(Quantile(now, q));
+  }
+
+  /// Samples inside the current + previous epoch.
+  std::uint64_t WindowCount(Time now) {
+    epochs_.Advance(now);
+    return epochs_.current().count() + epochs_.previous().count();
+  }
+
+  Duration window() const { return epochs_.window(); }
+
+ private:
+  TwoEpochWindow<LatencyDigest> epochs_;
 };
 
 }  // namespace ks::metrics

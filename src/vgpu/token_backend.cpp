@@ -65,6 +65,9 @@ Status TokenBackend::RegisterContainer(const ContainerId& container,
 }
 
 Status TokenBackend::UnregisterContainer(const ContainerId& container) {
+  // Admission state leaves with the replica (container ids are never
+  // reused), so it stays bounded by live replicas, not by history.
+  serving_.erase(container);
   // A container dying while the daemon is down (or before its reattach
   // fires) must not be resurrected by the restart path.
   const bool was_pending = pending_reattach_.erase(container) > 0;
@@ -808,12 +811,32 @@ void TokenBackend::ReportUsage(const ContainerId& container, double claimed) {
 
 // --- SLO admission control ------------------------------------------------
 
+std::uint64_t TokenBackend::AdmissionCutoff(double limit) {
+  for (int j = 0; j < metrics::LatencyDigest::kBuckets; ++j) {
+    const std::uint64_t edge = metrics::LatencyDigest::LowerEdge(j);
+    if (!(ToSeconds(Duration{static_cast<std::int64_t>(edge)}) < limit)) {
+      return edge;
+    }
+  }
+  return kNoCutoff;
+}
+
 void TokenBackend::SetServiceSlo(const ContainerId& container,
                                  Duration slo_p99) {
   if (!config_.admission.enabled) return;
   auto [it, inserted] =
       serving_.try_emplace(container, config_.admission.window);
-  it->second.slo = slo_p99;
+  ServingState& state = it->second;
+  const std::uint64_t cutoff =
+      AdmissionCutoff(config_.admission.headroom * ToSeconds(slo_p99));
+  // Counts are relative to the cutoff, so a re-declared SLO that moves it
+  // restarts the window (cold start) rather than mixing two cutoffs.
+  if (!inserted && cutoff != state.cutoff_us) {
+    state.epochs = metrics::TwoEpochWindow<AdmissionEpoch>(
+        config_.admission.window);
+  }
+  state.slo = slo_p99;
+  state.cutoff_us = cutoff;
 }
 
 void TokenBackend::ReportRequestLatency(const ContainerId& container, Time now,
@@ -821,7 +844,14 @@ void TokenBackend::ReportRequestLatency(const ContainerId& container, Time now,
   if (!config_.admission.enabled) return;
   auto it = serving_.find(container);
   if (it == serving_.end()) return;
-  it->second.digest.Record(now, latency);
+  ServingState& state = it->second;
+  // Negative spans clamp to 0, as LatencyDigest::Record buckets them.
+  const std::int64_t raw = latency.count();
+  const std::uint64_t v = raw < 0 ? 0u : static_cast<std::uint64_t>(raw);
+  state.epochs.Advance(now);
+  AdmissionEpoch& epoch = state.epochs.current();
+  ++epoch.samples;
+  if (v < state.cutoff_us) ++epoch.below_cutoff;
 }
 
 AdmissionDecision TokenBackend::AdmitRequest(const ContainerId& container,
@@ -832,27 +862,27 @@ AdmissionDecision TokenBackend::AdmitRequest(const ContainerId& container,
     return AdmissionDecision::kAdmit;
   }
   ServingState& state = it->second;
-  if (state.digest.WindowCount(now) < config_.admission.min_samples) {
+  state.epochs.Advance(now);
+  const AdmissionEpoch& cur = state.epochs.current();
+  const AdmissionEpoch& prev = state.epochs.previous();
+  const std::uint64_t n = cur.samples + prev.samples;
+  if (n < config_.admission.min_samples) {
     return AdmissionDecision::kAdmit;  // cold start: no trustworthy estimate
   }
-  const Duration p99 = state.digest.Quantile(now, 0.99);
-  if (ToSeconds(p99) < config_.admission.headroom * ToSeconds(state.slo)) {
-    return AdmissionDecision::kAdmit;
-  }
+  // p99 under the limit <=> its nearest-rank sample lies below the cutoff.
+  // An empty window (min_samples == 0) reads p99 = 0, under the limit iff
+  // the first bucket's edge 0 is.
+  const bool under =
+      n == 0 ? state.cutoff_us > 0
+             : cur.below_cutoff + prev.below_cutoff >=
+                   metrics::LatencyDigest::NearestRank(0.99, n);
+  if (under) return AdmissionDecision::kAdmit;
   if (config_.admission.policy == AdmissionConfig::Policy::kQueue) {
-    ++state.queued;
     ++admission_queued_;
     return AdmissionDecision::kQueue;
   }
-  ++state.sheds;
   ++admission_sheds_;
   return AdmissionDecision::kShed;
-}
-
-double TokenBackend::ObservedP99Of(const ContainerId& container, Time now) {
-  auto it = serving_.find(container);
-  if (it == serving_.end()) return 0.0;
-  return it->second.digest.QuantileSeconds(now, 0.99);
 }
 
 // --- Memory oversubscription (nvshare-TQ) --------------------------------

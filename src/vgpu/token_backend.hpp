@@ -85,14 +85,16 @@ struct AdmissionConfig {
     kQueue,  ///< hold at the door; the frontend retries after a delay
   };
   Policy policy = Policy::kShed;
-  /// Admission trips once observed p99 >= headroom * slo.
+  /// Admission trips once observed p99 >= headroom * slo. The p99 is the
+  /// metrics::LatencyDigest nearest-rank estimate (bucket lower edge) over
+  /// the window's samples.
   double headroom = 0.9;
-  /// Sliding window of the per-service latency digest (two rotating
-  /// epochs; the estimate covers one to two windows of history).
+  /// Sliding window of the per-replica latency counts (two rotating
+  /// epochs, metrics::TwoEpochWindow; a decision covers one to two windows
+  /// of history).
   Duration window = Seconds(5.0);
-  /// Samples required in the window before the p99 estimate is trusted;
-  /// below this the daemon admits unconditionally (cold start, quiet
-  /// service).
+  /// Samples required in the window before its p99 is trusted; below
+  /// this the daemon admits unconditionally (cold start, quiet service).
   std::uint64_t min_samples = 20;
 };
 
@@ -378,15 +380,19 @@ class TokenBackendApi {
   /// Declares the p99 SLO of the service a container replica belongs to.
   /// Called by the serving frontend when a replica comes up; a no-op while
   /// BackendConfig::admission is disabled (no serving state is kept, so
-  /// the disabled daemon is byte-identical to the pre-admission one).
+  /// the disabled daemon is byte-identical to the pre-admission one). The
+  /// daemon derives the container's latency cutoff here, once; re-declaring
+  /// an SLO that moves it restarts the container's window. The state is
+  /// dropped by UnregisterContainer and kept across Restart().
   virtual void SetServiceSlo(const ContainerId& container, Duration slo_p99) {
     (void)container;
     (void)slo_p99;
   }
 
-  /// Per-request latency report feeding the daemon's windowed per-service
-  /// digest. Zero-allocation on the digest side; a no-op while admission
-  /// is disabled.
+  /// Per-request latency report for a container's admission window: the
+  /// daemon counts the sample, and whether it falls below the container's
+  /// SLO cutoff, in the current epoch. O(1) and allocation-free; a no-op
+  /// while admission is disabled or before SetServiceSlo.
   virtual void ReportRequestLatency(const ContainerId& container, Time now,
                                     Duration latency) {
     (void)container;
@@ -397,7 +403,8 @@ class TokenBackendApi {
   /// The admission decision for one new request bound for `container`.
   /// Always kAdmit while admission is disabled, during cold start
   /// (fewer than AdmissionConfig::min_samples in the window), or while
-  /// observed p99 stays under headroom * SLO.
+  /// the window's p99 stays under headroom * SLO — decided in O(1) from
+  /// the windowed below-cutoff count, never by walking a histogram.
   virtual AdmissionDecision AdmitRequest(const ContainerId& container,
                                          Time now) {
     (void)container;
@@ -405,16 +412,11 @@ class TokenBackendApi {
     return AdmissionDecision::kAdmit;
   }
 
-  /// Observed windowed p99 of a container's service, in seconds; 0 when
-  /// unknown. Non-const: the lazy window rotation advances on access.
-  virtual double ObservedP99Of(const ContainerId& container, Time now) {
-    (void)container;
-    (void)now;
-    return 0.0;
-  }
-
   virtual std::uint64_t admission_sheds() const { return 0; }
   virtual std::uint64_t admission_queued() const { return 0; }
+  /// Containers the daemon keeps admission state for. Bounded by the live
+  /// serving replicas — the serving soak test pins it.
+  virtual std::size_t serving_states() const { return 0; }
 
   /// Frontend-sampler self-report of the container's usage rate. The
   /// untrusted input of the metrics-spoofing attack: without enforcement
@@ -523,9 +525,9 @@ class TokenBackend : public TokenBackendApi {
                             Duration latency) override;
   AdmissionDecision AdmitRequest(const ContainerId& container,
                                  Time now) override;
-  double ObservedP99Of(const ContainerId& container, Time now) override;
   std::uint64_t admission_sheds() const override { return admission_sheds_; }
   std::uint64_t admission_queued() const override { return admission_queued_; }
+  std::size_t serving_states() const override { return serving_.size(); }
   void ReportUsage(const ContainerId& container, double claimed) override;
   void SetEvictionFn(EvictionFn fn) override {
     eviction_fn_ = std::move(fn);
@@ -644,21 +646,41 @@ class TokenBackend : public TokenBackendApi {
   std::size_t peak_holders_ = 0;
   bool down_ = false;
 
-  /// Per-service admission state: SLO target and the windowed latency
-  /// digest p99 estimates come from. Keyed separately from containers_ —
-  /// like the violation ledger, it is rebuilt-state, not token-state, so a
-  /// daemon Restart() keeps the latency history that would otherwise blind
-  /// admission control exactly when a restart's backlog needs it. Only
-  /// populated while config_.admission.enabled (disabled daemons carry
-  /// zero serving state).
+  /// One admission epoch: latency samples reported, and how many of them
+  /// fell below the container's cutoff.
+  struct AdmissionEpoch {
+    std::uint64_t samples = 0;
+    std::uint64_t below_cutoff = 0;
+    void Clear() noexcept {
+      samples = 0;
+      below_cutoff = 0;
+    }
+  };
+  static constexpr std::uint64_t kNoCutoff = ~0ull;
+  /// Lower edge of the first digest bucket whose representative fails the
+  /// p99 test `ToSeconds(edge) < limit`, or kNoCutoff when none does.
+  /// Edges grow with the index, so exactly the buckets before it pass, and
+  /// a sample lands in one of them iff it is below the returned edge.
+  static std::uint64_t AdmissionCutoff(double limit);
+  /// Per-replica admission state: the SLO, its cutoff and two epochs of
+  /// counts. The window's p99 (digest lower edge of the nearest-rank
+  /// sample) is under headroom * slo exactly when at least
+  /// NearestRank(0.99, n) of the n samples lie below `cutoff_us`, the
+  /// lower edge of the first digest bucket whose edge is not under the
+  /// limit (kNoCutoff when every edge is). Keyed separately from
+  /// containers_ — like the violation ledger, it is rebuilt-state, not
+  /// token-state, so a daemon Restart() keeps the latency history that
+  /// would otherwise blind admission control exactly when a restart's
+  /// backlog needs it; UnregisterContainer drops it with the container.
+  /// Only populated while config_.admission.enabled (disabled daemons
+  /// carry zero serving state).
   struct ServingState {
     Duration slo{0};
-    metrics::WindowedLatencyDigest digest;
-    std::uint64_t sheds = 0;
-    std::uint64_t queued = 0;
-    explicit ServingState(Duration window) : digest(window) {}
+    std::uint64_t cutoff_us = 0;
+    metrics::TwoEpochWindow<AdmissionEpoch> epochs;
+    explicit ServingState(Duration window) : epochs(window) {}
   };
-  std::map<ContainerId, ServingState> serving_;
+  std::unordered_map<ContainerId, ServingState> serving_;
   std::uint64_t admission_sheds_ = 0;
   std::uint64_t admission_queued_ = 0;
 
