@@ -26,8 +26,8 @@
 #include "common/table.hpp"
 #include "cuda/context.hpp"
 #include "harness.hpp"
+#include "oracles/token_backend_reference.hpp"
 #include "vgpu/frontend_hook.hpp"
-#include "vgpu/token_backend_reference.hpp"
 #include "workload/job.hpp"
 
 namespace {

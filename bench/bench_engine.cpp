@@ -35,9 +35,10 @@
 #include "common/table.hpp"
 #include "harness.hpp"
 #include "json_report.hpp"
+#include "oracles/cluster_parts.hpp"
+#include "oracles/token_backend_reference.hpp"
 #include "sim/simulation.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace baseline {
 
@@ -290,18 +291,20 @@ struct TokenClusterResult {
   double events_per_sec = 0.0;
 };
 
+/// `reference` runs the one-event-per-deadline oracle (tests/oracles/)
+/// instead of the production wheel.
 TokenClusterResult TokenClusterScenario(const std::string& mode_name,
-                                        ks::vgpu::TokenTimerMode mode,
+                                        bool reference,
                                         ks::Duration coalesce_window) {
   using namespace ks;
   sim::Simulation sim;
   vgpu::BackendConfig cfg;
   cfg.coalesce_window = coalesce_window;
   std::unique_ptr<vgpu::TokenBackendApi> backend;
-  if (mode == vgpu::TokenTimerMode::kWheel) {
-    backend = std::make_unique<vgpu::TokenBackend>(&sim, cfg);
-  } else {
+  if (reference) {
     backend = std::make_unique<vgpu::TokenBackendReference>(&sim, cfg);
+  } else {
+    backend = std::make_unique<vgpu::TokenBackend>(&sim, cfg);
   }
 
   const int kDevices = 16;
@@ -353,11 +356,12 @@ TokenClusterResult TokenClusterScenario(const std::string& mode_name,
 /// The scenario run kTokenClusterRuns times; the event counts are
 /// deterministic, the reported rate is the median run's.
 TokenClusterResult MedianTokenCluster(const std::string& mode_name,
-                                      ks::vgpu::TokenTimerMode mode,
+                                      bool reference,
                                       ks::Duration coalesce_window) {
   std::vector<TokenClusterResult> runs;
   for (int i = 0; i < kTokenClusterRuns; ++i) {
-    runs.push_back(TokenClusterScenario(mode_name, mode, coalesce_window));
+    runs.push_back(
+        TokenClusterScenario(mode_name, reference, coalesce_window));
   }
   std::sort(runs.begin(), runs.end(),
             [](const TokenClusterResult& a, const TokenClusterResult& b) {
@@ -382,13 +386,15 @@ struct KernelClusterResult {
   double wall_s = 0.0;
 };
 
+/// `parts` selects the device engine: empty for the production fused
+/// engine, oracles::ReferenceGpus() for the per-kernel reference.
 KernelClusterResult KernelClusterScenario(const std::string& mode_name,
-                                          ks::gpu::GpuExecMode exec) {
+                                          const ks::k8s::ClusterParts& parts) {
   using namespace ks;
   bench::RunOptions opt;
   opt.cluster.nodes = 4;
   opt.cluster.gpus_per_node = 2;
-  opt.cluster.exec = exec;
+  opt.parts = parts;
   opt.workload.total_jobs = 32;
   opt.workload.mean_interarrival = Seconds(0.5);
   opt.workload.demand_mean = 0.5;
@@ -484,11 +490,11 @@ int main() {
       kTokenClusterRuns);
   std::vector<TokenClusterResult> token_rows;
   token_rows.push_back(MedianTokenCluster(
-      "reference", vgpu::TokenTimerMode::kReference, Micros(500)));
+      "reference", /*reference=*/true, Micros(500)));
   token_rows.push_back(MedianTokenCluster(
-      "wheel-500us", vgpu::TokenTimerMode::kWheel, Micros(500)));
+      "wheel-500us", /*reference=*/false, Micros(500)));
   token_rows.push_back(MedianTokenCluster(
-      "wheel-5ms", vgpu::TokenTimerMode::kWheel, Millis(5)));
+      "wheel-5ms", /*reference=*/false, Millis(5)));
   const double ref_events =
       static_cast<double>(token_rows.front().total_events);
   Table token_table({"timers", "total events", "executed", "grants",
@@ -517,9 +523,9 @@ int main() {
       "pays one event per step.\n\n");
   std::vector<KernelClusterResult> kernel_rows;
   kernel_rows.push_back(
-      KernelClusterScenario("reference", gpu::GpuExecMode::kReference));
+      KernelClusterScenario("reference", oracles::ReferenceGpus()));
   kernel_rows.push_back(
-      KernelClusterScenario("fused", gpu::GpuExecMode::kFused));
+      KernelClusterScenario("fused", {}));
   const double kernel_ref_events =
       static_cast<double>(kernel_rows.front().total_events);
   Table kernel_table(

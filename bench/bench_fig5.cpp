@@ -12,6 +12,7 @@
 #include "cuda/context.hpp"
 #include "gpu/nvml.hpp"
 #include "harness.hpp"
+#include "sim/tick_hub.hpp"
 #include "workload/job.hpp"
 
 int main() {
@@ -24,7 +25,8 @@ int main() {
                             45.0}) {
     sim::Simulation sim;
     gpu::GpuDevice dev(&sim, GpuUuid("GPU-0"));
-    gpu::NvmlMonitor nvml(&sim, Seconds(1));
+    sim::TickHub hub(&sim);
+    gpu::NvmlMonitor nvml(&hub, Seconds(1));
     nvml.Register(&dev);
     nvml.Start();
     cuda::CudaContext ctx(&dev, ContainerId("tf-serving"));

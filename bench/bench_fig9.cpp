@@ -13,6 +13,7 @@
 #include "json_report.hpp"
 #include "k8s/resources.hpp"
 #include "metrics/sampler.hpp"
+#include "oracles/cluster_parts.hpp"
 
 namespace {
 
@@ -23,12 +24,11 @@ struct TimelineResult {
   std::uint64_t total_events = 0;
 };
 
+/// `parts` swaps in a reference engine (tests/oracles/) for the comparison
+/// rows; empty parts run the production cluster.
 TimelineResult RunTimeline(bool use_kubeshare,
-                           ks::vgpu::TokenTimerMode timers =
-                               ks::vgpu::TokenTimerMode::kWheel,
+                           const ks::k8s::ClusterParts& parts = {},
                            ks::Duration coalesce_window = ks::Micros(500),
-                           ks::gpu::GpuExecMode exec =
-                               ks::gpu::GpuExecMode::kFused,
                            ks::workload::WorkloadConfig::JobKind kind =
                                ks::workload::WorkloadConfig::JobKind::
                                    kInference) {
@@ -36,10 +36,8 @@ TimelineResult RunTimeline(bool use_kubeshare,
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 8;
   ccfg.gpus_per_node = 4;
-  ccfg.token_timers = timers;
   ccfg.backend.coalesce_window = coalesce_window;
-  ccfg.exec = exec;
-  k8s::Cluster cluster(ccfg);
+  k8s::Cluster cluster(ccfg, parts);
   std::unique_ptr<kubeshare::KubeShare> kubeshare;
   if (use_kubeshare) {
     kubeshare = std::make_unique<kubeshare::KubeShare>(&cluster);
@@ -144,9 +142,8 @@ int main() {
   // deadline exact (it divides each daemon duration) and so schedules about
   // as many events as the reference; the coarse window batches renewals.
   TimelineResult kshare_ref =
-      RunTimeline(true, vgpu::TokenTimerMode::kReference);
-  TimelineResult kshare_coarse =
-      RunTimeline(true, vgpu::TokenTimerMode::kWheel, Millis(5));
+      RunTimeline(true, oracles::ReferenceTokenBackends());
+  TimelineResult kshare_coarse = RunTimeline(true, {}, Millis(5));
   std::cout << "\nKubeShare engine events: " << kshare_ref.total_events
             << " per-renewal reference, " << kshare.total_events
             << " wheel (500 us window), " << kshare_coarse.total_events
@@ -161,16 +158,13 @@ int main() {
   // their request volume as back-to-back training streams) on both engines.
   // The differential suite pins the traces byte-equal; this records what
   // the fused engine's event economy is worth on a full workload.
-  TimelineResult kshare_devref = RunTimeline(
-      true, vgpu::TokenTimerMode::kWheel, Micros(500),
-      gpu::GpuExecMode::kReference);
+  TimelineResult kshare_devref =
+      RunTimeline(true, oracles::ReferenceGpus());
   TimelineResult train_fused = RunTimeline(
-      true, vgpu::TokenTimerMode::kWheel, Micros(500),
-      gpu::GpuExecMode::kFused, workload::WorkloadConfig::JobKind::kTraining);
-  TimelineResult train_devref = RunTimeline(
-      true, vgpu::TokenTimerMode::kWheel, Micros(500),
-      gpu::GpuExecMode::kReference,
-      workload::WorkloadConfig::JobKind::kTraining);
+      true, {}, Micros(500), workload::WorkloadConfig::JobKind::kTraining);
+  TimelineResult train_devref =
+      RunTimeline(true, oracles::ReferenceGpus(), Micros(500),
+                  workload::WorkloadConfig::JobKind::kTraining);
   std::cout << "\nDevice-engine events (inference workload): "
             << kshare_devref.total_events << " per-kernel reference, "
             << kshare.total_events << " fused ("

@@ -34,6 +34,7 @@
 #include "kubeshare/autoscaler.hpp"
 #include "kubeshare/kubeshare.hpp"
 #include "kubeshare/replicaset.hpp"
+#include "oracles/arrival_reference.hpp"
 #include "serving/arrivals.hpp"
 #include "serving/service.hpp"
 #include "workload/host.hpp"

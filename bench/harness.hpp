@@ -17,6 +17,9 @@ namespace ks::bench {
 /// cluster. Returns the paper's headline quantities.
 struct RunOptions {
   k8s::ClusterConfig cluster;
+  /// Reference engines to build the cluster from (the test-only oracles in
+  /// tests/oracles/); empty runs the production cluster.
+  k8s::ClusterParts parts;
   workload::WorkloadConfig workload;
   bool use_kubeshare = true;
   kubeshare::KubeShareConfig kubeshare;

@@ -75,15 +75,6 @@ enum class DeviceViolation {
 };
 using ViolationFn = std::function<void(const ContainerId&, DeviceViolation)>;
 
-/// Which execution engine a cluster's devices use. kFused is the
-/// virtual-time engine with fused kernel streams; kReference is the
-/// original one-event-per-kernel implementation kept as the differential
-/// oracle (same pattern as vgpu::TokenTimerMode).
-enum class GpuExecMode {
-  kFused,
-  kReference,
-};
-
 /// Simulated GPU device: a memory ledger plus a processor-sharing kernel
 /// execution engine driven by the discrete-event simulation.
 ///
@@ -105,7 +96,10 @@ enum class GpuExecMode {
 /// streams retire K identical back-to-back units with a single engine
 /// event; any membership, teardown or cancellation event splits the fusion
 /// so observable traces (kernel ids/times, utilization, callbacks) are
-/// byte-equal to the per-kernel oracle, GpuDeviceReference.
+/// byte-equal to the original one-event-per-kernel engine. That engine is
+/// a test-only oracle in the ks_oracles test library; it subclasses this
+/// one (hence the virtual execution methods) and tests inject it into a
+/// cluster through k8s::ClusterParts.
 class GpuDevice {
  public:
   GpuDevice(sim::Simulation* sim, GpuUuid uuid, GpuSpec spec = {});

@@ -1,12 +1,12 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
 #include "gpu/device.hpp"
-#include "gpu/device_reference.hpp"
 #include "gpu/nvml.hpp"
 #include "k8s/apiserver.hpp"
 #include "k8s/device_plugin.hpp"
@@ -19,7 +19,6 @@
 #include "spatial/geometry.hpp"
 #include "vgpu/swap.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace ks::k8s {
 
@@ -45,24 +44,6 @@ struct ClusterConfig {
   /// anti-thrashing rotation. Disabled by default: the cluster behaves
   /// byte-identically to the strict-quota system.
   vgpu::OversubscriptionConfig oversub;
-  /// Which token-renewal timer implementation the per-node daemons use:
-  /// the per-node timer wheel (default) or the one-event-per-deadline
-  /// reference backend kept as the differential-test oracle.
-  vgpu::TokenTimerMode token_timers = vgpu::TokenTimerMode::kWheel;
-  /// Which device execution engine the GPUs use: the virtual-time core
-  /// with fused kernel streams (default) or the per-kernel reference
-  /// engine kept as the differential-test oracle.
-  gpu::GpuExecMode exec = gpu::GpuExecMode::kFused;
-  /// Grid for the shared sampler tick (NVML poll and any pull-mode
-  /// PeriodicSampler ride one sim::TickHub instead of keeping private
-  /// self-rescheduling events). Zero keeps monitors in push mode.
-  Duration sampler_granularity = Millis(1);
-  /// Watch fan-out delivery path for every store on the apiserver (and
-  /// KubeShare's sharePod store, which joins the same hub). kBatched — the
-  /// default — coalesces same-time deliveries into one engine event;
-  /// watcher-visible ordering and timing are byte-identical to kUnbatched,
-  /// which stays available as the differential comparison path.
-  WatchFanout watch_fanout = WatchFanout::kBatched;
   /// Use the scaling-factor device plugin (the §3.1 trick) instead of the
   /// stock whole-GPU plugin. Used by the fragmentation baselines.
   bool scaled_plugin = false;
@@ -82,13 +63,28 @@ struct ClusterConfig {
   Duration component_resync = Millis(0);
 };
 
+/// Test seam: what the cluster builds for each GPU and for each node's
+/// token daemon. Empty factories build the production gpu::GpuDevice and
+/// vgpu::TokenBackend, which is all any production caller uses; the
+/// differential tests and the benches that compare against a reference
+/// engine inject the test-only oracles here. Not part of ClusterConfig:
+/// it picks no behaviour a deployment could want.
+struct ClusterParts {
+  std::function<std::unique_ptr<gpu::GpuDevice>(
+      sim::Simulation*, const GpuUuid&, const gpu::GpuSpec&)>
+      make_gpu;
+  std::function<std::unique_ptr<vgpu::TokenBackendApi>(
+      sim::Simulation*, const vgpu::BackendConfig&)>
+      make_token_backend;
+};
+
 /// A fully-wired simulated Kubernetes cluster: apiserver, kube-scheduler,
 /// and per node a kubelet, container runtime, device plugin, the physical
 /// GPUs, and the vGPU token-backend daemon KubeShare's device library talks
 /// to. Owns every component; everything runs on one Simulation.
 class Cluster {
  public:
-  explicit Cluster(ClusterConfig config = {});
+  explicit Cluster(ClusterConfig config = {}, ClusterParts parts = {});
   ~Cluster();
 
   Cluster(const Cluster&) = delete;
@@ -102,9 +98,9 @@ class Cluster {
   ApiServer& api() { return *api_; }
   KubeScheduler& scheduler() { return *scheduler_; }
   gpu::NvmlMonitor& nvml() { return *nvml_; }
-  /// Shared sampler tick all pull-mode instruments multiplex onto.
-  /// Null when ClusterConfig::sampler_granularity is zero (push mode).
-  sim::TickHub* tick_hub() { return tick_hub_.get(); }
+  /// Shared sampler tick (1 ms grid) the NVML poll and every periodic
+  /// instrument multiplex onto. Never null.
+  sim::TickHub* tick_hub() { return &tick_hub_; }
   const ClusterConfig& config() const { return config_; }
 
   struct NodeHandle {
@@ -159,7 +155,7 @@ class Cluster {
 
   ClusterConfig config_;
   sim::Simulation sim_;
-  std::unique_ptr<sim::TickHub> tick_hub_;
+  sim::TickHub tick_hub_{&sim_, Millis(1)};
   std::unique_ptr<ApiServer> api_;
   std::unique_ptr<KubeScheduler> scheduler_;
   std::unique_ptr<NodeLifecycleController> node_controller_;

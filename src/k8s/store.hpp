@@ -34,7 +34,9 @@ using WatchId = std::uint64_t;
 /// order the unbatched path would have run them (the hub preserves enqueue
 /// order, and enqueue order equals the legacy schedule order). Delivery
 /// times and watcher-visible ordering are identical by construction — only
-/// the engine event count drops.
+/// the engine event count drops. Every store the cluster runs is batched;
+/// kUnbatched remains as the oracle store_batch_test compares against and
+/// the default for a standalone store.
 enum class WatchFanout { kUnbatched, kBatched };
 
 /// Shared delivery scheduler for batched watch fan-out. One hub serves all

@@ -24,8 +24,8 @@ struct AutoscalerConfig {
   /// without it the controller would flap on every estimate wiggle.
   double up_threshold = 0.85;
   double down_threshold = 0.40;
-  /// Evaluation period (rides the cluster's shared TickHub when one
-  /// exists, so the controller costs the engine no private events).
+  /// Evaluation period (rides the cluster's shared TickHub, so the
+  /// controller costs the engine no private events).
   Duration period = Seconds(1.0);
   /// Minimum spacing between consecutive scale-ups / scale-downs.
   /// Scale-down is deliberately the slower direction: adding capacity
@@ -96,13 +96,12 @@ class SloAutoscaler {
   void Evaluate();
 
   sim::Simulation* sim_;
-  sim::TickHub* hub_;  // may be null: falls back to a private event
+  sim::TickHub* hub_;
   SharePodReplicaSet* replicaset_;
   AutoscalerConfig config_;
   MetricProbe probe_;
 
   sim::TickHub::SubId sub_ = 0;
-  sim::EventId event_ = sim::kInvalidEvent;
   bool started_ = false;
   bool down_ = false;
   Time last_up_{std::numeric_limits<std::int64_t>::min() / 4};

@@ -69,7 +69,8 @@ inline constexpr Time kNoArrival{std::numeric_limits<std::int64_t>::max()};
 /// Next() draws (exponential gap, uniform accept) pairs in a fixed order,
 /// so two sequences built from the same envelope and seed yield identical
 /// arrival timestamps — the batched stream and the per-request reference
-/// are byte-equal at the arrival level BY CONSTRUCTION, not by tuning
+/// (a test-only oracle in the ks_oracles test library) are byte-equal at
+/// the arrival level BY CONSTRUCTION, not by tuning
 /// (tests/serving/arrival_equivalence_test.cpp pins it).
 class ThinningSequence {
  public:
@@ -83,42 +84,6 @@ class ThinningSequence {
   RateEnvelope envelope_;
   Rng rng_;
   Time cursor_{0};
-};
-
-/// Per-request reference generator: one engine event per arrival, the
-/// differential oracle. This is exactly what "plain Poisson clients" cost
-/// the engine before this subsystem existed — kept so the batched path has
-/// an executable specification to be measured (and pinned) against.
-class ReferenceArrivalProcess {
- public:
-  using ArrivalFn = std::function<void(Time arrival)>;
-
-  ReferenceArrivalProcess(sim::Simulation* sim, RateEnvelope envelope,
-                          std::uint64_t seed, Time until, ArrivalFn fn);
-  ~ReferenceArrivalProcess() { Stop(); }
-
-  ReferenceArrivalProcess(const ReferenceArrivalProcess&) = delete;
-  ReferenceArrivalProcess& operator=(const ReferenceArrivalProcess&) = delete;
-
-  void Start();
-  void Stop();
-
-  std::uint64_t arrivals() const { return arrivals_; }
-  /// Engine events this generator scheduled (== arrivals, by design).
-  std::uint64_t engine_events() const { return engine_events_; }
-
- private:
-  void Arm(Time at);
-
-  sim::Simulation* sim_;
-  ThinningSequence seq_;
-  Time until_;
-  ArrivalFn fn_;
-  Time next_{0};
-  sim::EventId event_ = sim::kInvalidEvent;
-  std::uint64_t arrivals_ = 0;
-  std::uint64_t engine_events_ = 0;
-  bool started_ = false;
 };
 
 /// Batched arrival stream: aggregates every arrival landing inside one

@@ -30,9 +30,6 @@ struct ServiceConfig {
   /// Arrival batching window; <= 0 selects per-request generation (one
   /// engine event per arrival — the differential-oracle configuration).
   Duration batch_window = Millis(10);
-  /// Use ReferenceArrivalProcess instead of BatchedArrivalStream — the
-  /// per-request oracle path of the differential suite.
-  bool use_reference_generator = false;
   /// Arrivals stop at this simulation time (in-flight work still drains).
   Time until = Seconds(60.0);
   std::uint64_t seed = 1;

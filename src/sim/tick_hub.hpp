@@ -18,8 +18,8 @@ namespace ks::sim {
 ///
 /// Each subscription fires at exact multiples of its period from the
 /// subscription time (next_due advances by period, never from the fire
-/// time), so a pull-mode sampler records byte-identical timestamps to the
-/// push-mode one whenever its period sits on the hub's grid.
+/// time), so a subscriber records byte-identical timestamps to a private
+/// self-rescheduling event whenever its period sits on the hub's grid.
 class TickHub {
  public:
   using SubId = std::uint64_t;

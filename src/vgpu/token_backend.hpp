@@ -31,7 +31,7 @@ namespace ks::vgpu {
 /// violations, and eviction of repeat offenders. Off by default — with
 /// `enabled == false` every path below is bypassed and the backend is
 /// byte-identical to the pre-enforcement behavior, which is what keeps the
-/// differential oracles (TokenBackendReference, GpuDeviceReference) valid.
+/// test-only reference engines (the ks_oracles test library) valid oracles.
 struct EnforcementConfig {
   bool enabled = false;
   /// Overrun grace past quota expiry before a still-holding tenant is
@@ -76,8 +76,8 @@ inline const char* ViolationKindName(ViolationKind k) {
 /// daemon sheds or queues new requests instead of letting the backlog push
 /// every request past the deadline. Off by default — with `enabled ==
 /// false` the daemon stores no serving state and AdmitRequest always
-/// admits, so existing traces stay byte-identical and
-/// TokenBackendReference remains the admit-everything oracle.
+/// admits, so existing traces stay byte-identical to the test-only
+/// reference backend, which admits everything.
 struct AdmissionConfig {
   bool enabled = false;
   enum class Policy {
@@ -140,31 +140,31 @@ struct BackendConfig {
   /// sets stays exact; one set from an off-grid instant (a RequestToken
   /// from a kernel completion, say) rounds up to the next window. Coarsen
   /// it to trade deadline precision for fewer events (bench_engine's
-  /// token-cluster scenario measures the trade). TokenBackendReference
-  /// ignores this knob.
+  /// token-cluster scenario measures the trade). The test-only reference
+  /// backend fires every deadline at its exact microsecond instead.
   Duration coalesce_window = Micros(500);
   /// Spatial sharing (MIG-style slices): when enabled, TokenBackend grants
   /// multiple simultaneous tokens per device as long as the holders' SM-
   /// group claims fit the device's `sm_groups`. A container whose
   /// ResourceSpec::slice_groups is 0 claims every group (full-GPU,
-  /// temporal-style exclusive hold). TokenBackendReference ignores both
-  /// knobs — it stays the single-token oracle.
+  /// temporal-style exclusive hold). The test-only reference backend is
+  /// single-token and refuses to be built with spatial_enabled.
   bool spatial_enabled = false;
   int sm_groups = 7;
-  /// Isolation enforcement knobs. TokenBackendReference ignores these —
-  /// it stays the polite-tenant oracle.
+  /// Isolation enforcement knobs. The test-only reference backend models
+  /// polite tenants only and refuses to be built with enforcement on.
   EnforcementConfig enforcement;
   /// nvshare-style exclusive-time-quantum anti-thrashing for memory-
   /// oversubscribed devices: frontends report swap traffic per grant, and
   /// once a device's swap bytes per detection window cross the threshold
   /// its grants switch from `quota` to the (much longer) `tq.quantum`
   /// until the traffic calms. Temporal grant path only (a TQ rotation is
-  /// by definition exclusive); off by default, and TokenBackendReference
-  /// ignores it — it stays the quota-grant oracle.
+  /// by definition exclusive); off by default. The test-only reference
+  /// backend grants plain quotas and refuses to be built with TQ on.
   baselines::NvshareTqConfig tq;
-  /// SLO-aware admission control at the daemon door. Off by default;
-  /// TokenBackendReference ignores it — it stays the admit-everything
-  /// oracle.
+  /// SLO-aware admission control at the daemon door. Off by default. The
+  /// test-only reference backend admits everything and refuses to be built
+  /// with admission on.
   AdmissionConfig admission;
 };
 
@@ -203,15 +203,16 @@ class TokenClient {
 ///  3. if every requester has reached its gpu_request, grant to the one
 ///     with the lowest current usage (fair division of residual capacity).
 ///
-/// Two implementations exist: TokenBackend (default) batches every daemon
-/// deadline onto a per-node timer wheel, and TokenBackendReference keeps
-/// one engine event per deadline. The reference is the documentation of
-/// record for the paper's semantics. The wheel matches it trace-for-trace
-/// when every input lands on the coalesce_window grid
-/// (tests/vgpu/token_wheel_equivalence_test.cpp), mirroring the
-/// ScheduleSharePod / ScheduleSharePodReference oracle pair; off-grid
-/// inputs make the wheel's deadlines round up, so a full cluster run's
-/// trace differs between the two.
+/// TokenBackend, which batches every daemon deadline onto a per-node timer
+/// wheel, is the one production implementation. The interface exists so
+/// tests can substitute the one-event-per-deadline reference backend, a
+/// test-only oracle in the ks_oracles test library injected through
+/// k8s::ClusterParts. The wheel matches it trace-for-trace when every
+/// input lands on the coalesce_window grid
+/// (tests/vgpu/token_wheel_equivalence_test.cpp); off-grid inputs make the
+/// wheel's deadlines round up, so a full cluster run's trace differs
+/// between the two. The reference models none of admission, enforcement,
+/// TQ or spatial grants (the no-op defaults below stand in for them).
 class TokenBackendApi {
  public:
   virtual ~TokenBackendApi() = default;
@@ -317,8 +318,8 @@ class TokenBackendApi {
   /// nothing — the dangling-reeval regression test pins this.
   virtual std::size_t pending_timers() const = 0;
 
-  // --- Isolation enforcement (no-op defaults keep TokenBackendReference
-  // --- the untouched polite-tenant oracle) -----------------------------
+  // --- Isolation enforcement (no-op defaults: a backend without
+  // --- enforcement, like the test-only reference, ignores tenants' misdeeds)
 
   /// Per-tenant violation ledger. Survives Restart() — a daemon crash
   /// forgives no violation (the ledger is rebuilt state, not token state).
@@ -355,8 +356,8 @@ class TokenBackendApi {
   virtual std::uint64_t clampdowns_total() const { return 0; }
   virtual std::uint64_t evictions_total() const { return 0; }
 
-  // --- Memory oversubscription (no-op defaults keep the reference
-  // --- backend the swap-blind oracle) -----------------------------------
+  // --- Memory oversubscription (no-op defaults: a backend without TQ,
+  // --- like the test-only reference, is swap-blind) --------------------
 
   /// Frontend report of swap traffic incurred on a token hand-off (the
   /// bytes MakeResident migrated for this container). Feeds the nvshare-TQ
@@ -374,8 +375,8 @@ class TokenBackendApi {
     return false;
   }
 
-  // --- SLO admission control (no-op defaults keep TokenBackendReference
-  // --- the admit-everything oracle) --------------------------------------
+  // --- SLO admission control (no-op defaults: a backend without
+  // --- admission, like the test-only reference, admits everything) ------
 
   /// Declares the p99 SLO of the service a container replica belongs to.
   /// Called by the serving frontend when a replica comes up; a no-op while
@@ -458,21 +459,16 @@ class TokenBackendApi {
   GrantTraceFn grant_trace_;
 };
 
-/// Selects the token-backend implementation a cluster builds per node.
-enum class TokenTimerMode {
-  kWheel,      ///< TokenBackend: per-node timer wheel (default)
-  kReference,  ///< TokenBackendReference: one engine event per deadline
-};
-
 /// Wheel-based backend daemon: every deadline the daemon owns (quota
 /// expiries, grant hand-offs, throttle re-evaluations, restart downtime)
 /// lives on one per-node sim::TimerWheel, so the whole daemon keeps at
 /// most ONE engine event armed. Deadlines are quantized up to
 /// BackendConfig::coalesce_window. With the default window (the GCD of the
-/// default config durations) daemon behaviour matches TokenBackendReference
-/// tick for tick as long as requests, releases and registrations arrive on
-/// the grid; a hand-off requested off the grid completes at the next grid
-/// instant instead of exactly exchange_latency later.
+/// default config durations) daemon behaviour matches the test-only
+/// one-event-per-deadline reference tick for tick as long as requests,
+/// releases and registrations arrive on the grid; a hand-off requested off
+/// the grid completes at the next grid instant instead of exactly
+/// exchange_latency later.
 class TokenBackend : public TokenBackendApi {
  public:
   TokenBackend(sim::Simulation* sim, BackendConfig config = {});

@@ -20,6 +20,7 @@
 #include "gpu/nvml.hpp"
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
+#include "oracles/cluster_parts.hpp"
 #include "workload/generator.hpp"
 #include "workload/host.hpp"
 
@@ -45,7 +46,7 @@ struct RunTraces {
 
 enum class FaultChoice { kNone, kTokenDaemonRestart, kDevMgrCrash };
 
-RunTraces RunCluster(GpuExecMode exec, std::uint64_t seed,
+RunTraces RunCluster(const k8s::ClusterParts& parts, std::uint64_t seed,
                      workload::WorkloadConfig::JobKind kind,
                      FaultChoice fault) {
   // Heap-owned collector: trace callbacks installed on cluster components
@@ -56,8 +57,7 @@ RunTraces RunCluster(GpuExecMode exec, std::uint64_t seed,
     k8s::ClusterConfig ccfg;
     ccfg.nodes = 3;
     ccfg.gpus_per_node = 2;
-    ccfg.exec = exec;
-    k8s::Cluster cluster(ccfg);
+    k8s::Cluster cluster(ccfg, parts);
     RunTraces* sink = out.get();
     for (std::size_t n = 0; n < cluster.node_count(); ++n) {
       k8s::Cluster::NodeHandle& node = cluster.node(n);
@@ -195,9 +195,9 @@ void ExpectTracesEqual(const RunTraces& fused, const RunTraces& reference,
 
 void CompareModes(std::uint64_t seed, workload::WorkloadConfig::JobKind kind,
                   FaultChoice fault, const std::string& label) {
-  const RunTraces fused = RunCluster(GpuExecMode::kFused, seed, kind, fault);
+  const RunTraces fused = RunCluster({}, seed, kind, fault);
   const RunTraces reference =
-      RunCluster(GpuExecMode::kReference, seed, kind, fault);
+      RunCluster(oracles::ReferenceGpus(), seed, kind, fault);
   ExpectTracesEqual(fused, reference, label);
   // Fusion may only remove engine events, never add observable work.
   EXPECT_LE(fused.total_events, reference.total_events) << label;
@@ -213,11 +213,11 @@ TEST(DeviceEquivalence, InferenceClusterTracesByteEqualAcrossSeeds) {
 TEST(DeviceEquivalence, TrainingClusterTracesByteEqualAcrossSeeds) {
   for (std::uint64_t seed : {21u, 22u, 23u, 24u}) {
     const RunTraces fused =
-        RunCluster(GpuExecMode::kFused, seed,
+        RunCluster({}, seed,
                    workload::WorkloadConfig::JobKind::kTraining,
                    FaultChoice::kNone);
     const RunTraces reference =
-        RunCluster(GpuExecMode::kReference, seed,
+        RunCluster(oracles::ReferenceGpus(), seed,
                    workload::WorkloadConfig::JobKind::kTraining,
                    FaultChoice::kNone);
     const std::string label = "training seed " + std::to_string(seed);

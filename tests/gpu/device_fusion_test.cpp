@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "gpu/device.hpp"
-#include "gpu/device_reference.hpp"
+#include "oracles/device_reference.hpp"
 #include "sim/simulation.hpp"
 
 namespace ks::gpu {

@@ -24,6 +24,7 @@
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
 #include "metrics/isolation.hpp"
+#include "oracles/cluster_parts.hpp"
 #include "workload/generator.hpp"
 #include "workload/host.hpp"
 
@@ -42,7 +43,8 @@ struct FenceTraces {
   std::uint64_t tenants_turned = 0;
 };
 
-FenceTraces RunHostileCluster(GpuExecMode exec, std::uint64_t seed,
+FenceTraces RunHostileCluster(const k8s::ClusterParts& parts,
+                              std::uint64_t seed,
                               const std::vector<chaos::FaultKind>& attacks,
                               bool enforcement) {
   auto out = std::make_unique<FenceTraces>();
@@ -50,9 +52,8 @@ FenceTraces RunHostileCluster(GpuExecMode exec, std::uint64_t seed,
     k8s::ClusterConfig ccfg;
     ccfg.nodes = 3;
     ccfg.gpus_per_node = 2;
-    ccfg.exec = exec;
     ccfg.backend.enforcement.enabled = enforcement;
-    k8s::Cluster cluster(ccfg);
+    k8s::Cluster cluster(ccfg, parts);
     FenceTraces* sink = out.get();
     for (std::size_t n = 0; n < cluster.node_count(); ++n) {
       k8s::Cluster::NodeHandle& node = cluster.node(n);
@@ -220,9 +221,9 @@ FenceTraces CompareHostileModes(std::uint64_t seed,
                                 const std::vector<chaos::FaultKind>& attacks,
                                 const std::string& label) {
   const FenceTraces fused =
-      RunHostileCluster(GpuExecMode::kFused, seed, attacks, true);
+      RunHostileCluster({}, seed, attacks, true);
   const FenceTraces reference =
-      RunHostileCluster(GpuExecMode::kReference, seed, attacks, true);
+      RunHostileCluster(oracles::ReferenceGpus(), seed, attacks, true);
   ExpectHostileTracesEqual(fused, reference, label);
   EXPECT_LE(fused.total_events, reference.total_events) << label;
   // The attack must actually have run — a plan that fizzled (no running
@@ -276,9 +277,9 @@ TEST(FencingEquivalence, RepeatRunsAreByteEqual) {
       chaos::FaultKind::kTenantTokenOverstay,
       chaos::FaultKind::kTenantKernelFlood};
   const FenceTraces first =
-      RunHostileCluster(GpuExecMode::kFused, 58u, attacks, true);
+      RunHostileCluster({}, 58u, attacks, true);
   const FenceTraces second =
-      RunHostileCluster(GpuExecMode::kFused, 58u, attacks, true);
+      RunHostileCluster({}, 58u, attacks, true);
   ExpectHostileTracesEqual(first, second, "repeat fused run");
   EXPECT_EQ(first.total_events, second.total_events);
 }

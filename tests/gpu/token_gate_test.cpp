@@ -6,7 +6,7 @@
 // the contract the fencing differential tests then pin end to end.
 
 #include "gpu/device.hpp"
-#include "gpu/device_reference.hpp"
+#include "oracles/device_reference.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,14 +2,16 @@
 
 #include "metrics/sampler.hpp"
 #include "metrics/throughput.hpp"
+#include "sim/tick_hub.hpp"
 
 namespace ks::metrics {
 namespace {
 
 TEST(PeriodicSampler, SamplesAtPeriod) {
   sim::Simulation sim;
+  sim::TickHub hub(&sim);
   int value = 0;
-  PeriodicSampler sampler(&sim, Seconds(1), [&] {
+  PeriodicSampler sampler(&hub, Seconds(1), [&] {
     return static_cast<double>(++value);
   });
   sampler.Start();
@@ -24,7 +26,8 @@ TEST(PeriodicSampler, SamplesAtPeriod) {
 
 TEST(PeriodicSampler, StopPreventsFurtherSamples) {
   sim::Simulation sim;
-  PeriodicSampler sampler(&sim, Seconds(1), [] { return 1.0; });
+  sim::TickHub hub(&sim);
+  PeriodicSampler sampler(&hub, Seconds(1), [] { return 1.0; });
   sampler.Start();
   sim.RunUntil(Seconds(2));
   sampler.Stop();
@@ -34,7 +37,8 @@ TEST(PeriodicSampler, StopPreventsFurtherSamples) {
 
 TEST(PeriodicSampler, EmptySeriesStats) {
   sim::Simulation sim;
-  PeriodicSampler sampler(&sim, Seconds(1), [] { return 1.0; });
+  sim::TickHub hub(&sim);
+  PeriodicSampler sampler(&hub, Seconds(1), [] { return 1.0; });
   EXPECT_DOUBLE_EQ(sampler.MaxValue(), 0.0);
   EXPECT_DOUBLE_EQ(sampler.MeanValue(), 0.0);
 }

@@ -1,11 +1,14 @@
-// Differential tests for the pull-mode PeriodicSampler: riding the shared
-// sim::TickHub must produce samples byte-equal to the push-mode (one event
-// per sample) reference — first in isolation, then through a full KubeShare
-// workload with a DevMgr crash-and-rebuild in the middle.
+// Differential tests for PeriodicSampler, which rides the shared
+// sim::TickHub: its samples must be byte-equal to a push-mode sampler (one
+// private self-rescheduling event per sample, the design the hub replaced,
+// kept below as a test-local oracle) — first in isolation, then through a
+// full KubeShare workload with a DevMgr crash-and-rebuild in the middle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
@@ -20,6 +23,50 @@
 
 namespace ks::metrics {
 namespace {
+
+/// Push-mode oracle: the self-rescheduling sampler PeriodicSampler was
+/// before every instrument moved onto the shared tick — one private engine
+/// event per sample.
+class PushSampler {
+ public:
+  PushSampler(sim::Simulation* sim, Duration period,
+              PeriodicSampler::Probe probe)
+      : sim_(sim), period_(period), probe_(std::move(probe)) {}
+  ~PushSampler() { Stop(); }
+
+  void Start() { event_ = sim_->ScheduleAfter(period_, [this] { Tick(); }); }
+  void Stop() {
+    if (event_ == sim::kInvalidEvent) return;
+    sim_->Cancel(event_);
+    event_ = sim::kInvalidEvent;
+  }
+
+  const std::vector<PeriodicSampler::Sample>& series() const {
+    return series_;
+  }
+  double MaxValue() const {
+    double best = 0.0;
+    for (const auto& s : series_) best = std::max(best, s.value);
+    return best;
+  }
+  double MeanValue() const {
+    double total = 0.0;
+    for (const auto& s : series_) total += s.value;
+    return series_.empty() ? 0.0 : total / static_cast<double>(series_.size());
+  }
+
+ private:
+  void Tick() {
+    series_.push_back({sim_->Now(), probe_()});
+    event_ = sim_->ScheduleAfter(period_, [this] { Tick(); });
+  }
+
+  sim::Simulation* sim_;
+  Duration period_;
+  PeriodicSampler::Probe probe_;
+  sim::EventId event_ = sim::kInvalidEvent;
+  std::vector<PeriodicSampler::Sample> series_;
+};
 
 void ExpectSeriesEqual(const std::vector<PeriodicSampler::Sample>& a,
                        const std::vector<PeriodicSampler::Sample>& b) {
@@ -43,7 +90,7 @@ TEST(SamplerPull, PullSamplesAreByteEqualToPush) {
                    [&value, k] { value = 1.0 / (1.0 + k); });
   }
 
-  PeriodicSampler push(&sim, Millis(100), [&value] { return value; });
+  PushSampler push(&sim, Millis(100), [&value] { return value; });
   PeriodicSampler pull(&hub, Millis(100), [&value] { return value; });
   push.Start();
   pull.Start();
@@ -98,8 +145,8 @@ TEST(SamplerPull, StopUnsubscribesWithoutDisturbingOthers) {
 
 // ---------------------------------------------------------------------------
 // Full-stack differential: two identical KubeShare runs with a DevMgr crash
-// mid-flight; one watches the cluster with a push-mode sampler, the other
-// with pull-mode instruments on the cluster's shared tick. Probes are
+// mid-flight; one watches the cluster with the push-mode oracle, the other
+// with PeriodicSampler instruments on the cluster's shared tick. Probes are
 // read-only, so the runs are bit-deterministic twins and the series must be
 // byte-equal — including across the crash, the rebuild, and the requeues.
 
@@ -154,34 +201,29 @@ ClusterRunResult RunClusterWatched(bool pull_mode) {
   // the cluster components, so no cluster event shares a sample's instant
   // (first collision at ~1003 s, far past the horizon).
   const Duration period = Millis(1003);
-  std::unique_ptr<PeriodicSampler> sampler;
-  std::unique_ptr<PeriodicSampler> extra;  // pull-only co-tenant
-  if (pull_mode) {
-    sampler = std::make_unique<PeriodicSampler>(cluster.tick_hub(), period,
-                                                probe);
-    extra = std::make_unique<PeriodicSampler>(cluster.tick_hub(), period,
-                                              probe);
-    extra->Start();
-  } else {
-    sampler = std::make_unique<PeriodicSampler>(&cluster.sim(), period,
-                                                probe);
-  }
-  sampler->Start();
-
-  cluster.sim().RunUntil(Seconds(40));
-  sampler->Stop();
-
   ClusterRunResult result;
-  result.running_pods = sampler->series();
-  result.completed = host.completed();
-  result.devmgr_crashes = injector.stats().devmgr_crashes;
-  if (pull_mode && extra != nullptr) {
-    extra->Stop();
+  if (pull_mode) {
+    PeriodicSampler sampler(cluster.tick_hub(), period, probe);
+    PeriodicSampler extra(cluster.tick_hub(), period, probe);  // co-tenant
+    extra.Start();
+    sampler.Start();
+    cluster.sim().RunUntil(Seconds(40));
+    sampler.Stop();
+    extra.Stop();
     // The co-tenant saw the same cluster through the same tick...
-    ExpectSeriesEqual(sampler->series(), extra->series());
+    ExpectSeriesEqual(sampler.series(), extra.series());
+    result.running_pods = sampler.series();
     result.hub_fires = cluster.tick_hub()->fires();
     result.hub_ticks = cluster.tick_hub()->ticks();
+  } else {
+    PushSampler sampler(&cluster.sim(), period, probe);
+    sampler.Start();
+    cluster.sim().RunUntil(Seconds(40));
+    sampler.Stop();
+    result.running_pods = sampler.series();
   }
+  result.completed = host.completed();
+  result.devmgr_crashes = injector.stats().devmgr_crashes;
   return result;
 }
 

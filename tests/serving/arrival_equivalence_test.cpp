@@ -9,7 +9,11 @@
 //      window <= 0 is byte-equal to one driven by the per-request
 //      reference: same request trace, same kernel trace, same token
 //      trace — including while chaos restarts node-0's token daemon and
-//      crashes the DevMgr mid-run.
+//      crashes the DevMgr mid-run. The frontend has one arrival path, so
+//      the reference side is stored as golden hashes of the traces a
+//      frontend driven by ReferenceArrivalProcess produced (TraceHash
+//      below; recorded when the frontend could still select that
+//      generator, and equal then to the window-0 run's).
 //   3. Admission control armed but never triggered (min_samples above the
 //      run's request count) is byte-equal to admission disabled: the
 //      digest bookkeeping on the admit path must not perturb the
@@ -29,6 +33,7 @@
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
 #include "kubeshare/replicaset.hpp"
+#include "oracles/arrival_reference.hpp"
 #include "serving/arrivals.hpp"
 #include "serving/service.hpp"
 #include "workload/host.hpp"
@@ -89,7 +94,6 @@ struct ServingTraces {
 };
 
 struct ServingRunOptions {
-  bool use_reference = false;
   Duration batch_window{0};
   bool admission_armed_idle = false;  // enabled, but thresholds unreachable
   bool chaos = false;
@@ -146,7 +150,6 @@ ServingTraces RunServingCluster(const ServingRunOptions& opt) {
     cfg.slo_p99 = Millis(250);
     cfg.until = Seconds(20.0);
     cfg.seed = opt.seed;
-    cfg.use_reference_generator = opt.use_reference;
     cfg.batch_window = opt.batch_window;
     cfg.replica.kernel_per_request = Millis(8);
     cfg.replica.model_bytes = 256ull << 20;
@@ -238,32 +241,77 @@ void ExpectServingTracesEqual(const ServingTraces& a, const ServingTraces& b,
   }
 }
 
+/// FNV-1a over every observable ExpectServingTracesEqual compares: the
+/// outcome counters, then the request, kernel and token traces line by
+/// line, each section and line terminated by a 0xff byte.
+std::uint64_t TraceHash(const ServingTraces& t) {
+  std::uint64_t hash = 1469598103934665603ull;
+  auto add = [&hash](const std::string& line) {
+    for (const unsigned char c : line) {
+      hash ^= c;
+      hash *= 1099511628211ull;
+    }
+    hash ^= 0xff;
+    hash *= 1099511628211ull;
+  };
+  add("arrived " + std::to_string(t.arrived));
+  add("served " + std::to_string(t.served));
+  add("shed " + std::to_string(t.shed));
+  add("lost " + std::to_string(t.lost));
+  add("requests");
+  for (const std::string& line : t.requests) add(line);
+  for (const auto& [uuid, lines] : t.kernels) {
+    add("kernels " + uuid);
+    for (const std::string& line : lines) add(line);
+  }
+  for (const auto& [node, lines] : t.tokens) {
+    add("tokens " + node);
+    for (const std::string& line : lines) add(line);
+  }
+  return hash;
+}
+
+/// The reference side of one oracle comparison: the trace hash and
+/// generator event count of the frontend driven by ReferenceArrivalProcess.
+struct ReferenceGolden {
+  std::uint64_t seed;
+  std::uint64_t trace_hash;
+  std::uint64_t generator_events;
+};
+
 TEST(ServingEquivalence, PerRequestWindowByteEqualToReference) {
-  for (const std::uint64_t seed : {21ull, 22ull, 23ull}) {
+  const ReferenceGolden goldens[] = {
+      {21, 0x183f6a78c8ea23e0ull, 900},
+      {22, 0x6de98e6e56726cafull, 898},
+      {23, 0xc91bcbdae9b569bdull, 908},
+  };
+  for (const ReferenceGolden& golden : goldens) {
     ServingRunOptions batched;
     batched.batch_window = Duration{0};
-    batched.seed = seed;
-    ServingRunOptions reference = batched;
-    reference.use_reference = true;
+    batched.seed = golden.seed;
     const ServingTraces a = RunServingCluster(batched);
-    const ServingTraces b = RunServingCluster(reference);
-    ExpectServingTracesEqual(a, b, "window-0 seed " + std::to_string(seed));
-    EXPECT_EQ(a.generator_events, b.generator_events)
+    EXPECT_EQ(TraceHash(a), golden.trace_hash)
+        << "window-0 seed " << golden.seed << ": 0x" << std::hex
+        << TraceHash(a);
+    EXPECT_EQ(a.generator_events, golden.generator_events)
         << "per-request mode must cost exactly the reference's events";
   }
 }
 
 TEST(ServingEquivalence, PerRequestWindowByteEqualToReferenceUnderChaos) {
-  for (const std::uint64_t seed : {31ull, 32ull}) {
+  const ReferenceGolden goldens[] = {
+      {31, 0x39346347cc7ac7aaull, 941},
+      {32, 0x6f3da9b2e3ba5d51ull, 926},
+  };
+  for (const ReferenceGolden& golden : goldens) {
     ServingRunOptions batched;
     batched.batch_window = Duration{0};
     batched.chaos = true;
-    batched.seed = seed;
-    ServingRunOptions reference = batched;
-    reference.use_reference = true;
+    batched.seed = golden.seed;
     const ServingTraces a = RunServingCluster(batched);
-    const ServingTraces b = RunServingCluster(reference);
-    ExpectServingTracesEqual(a, b, "chaos seed " + std::to_string(seed));
+    EXPECT_EQ(TraceHash(a), golden.trace_hash)
+        << "chaos seed " << golden.seed << ": 0x" << std::hex << TraceHash(a);
+    EXPECT_EQ(a.generator_events, golden.generator_events);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "kubeshare/autoscaler.hpp"
 #include "kubeshare/replicaset.hpp"
 #include "metrics/slo.hpp"
+#include "oracles/arrival_reference.hpp"
 #include "serving/arrivals.hpp"
 #include "serving/service.hpp"
 #include "workload/host.hpp"

@@ -1,5 +1,6 @@
 // Long-horizon soak: the same seeded contended cluster is run for 1x and
-// 8x a simulated horizon, under both token-backend implementations. Per-
+// 8x a simulated horizon, under the production token backend and under the
+// reference oracle injected through k8s::ClusterParts. Per-
 // container state must be bounded by the usage window, not by run length,
 // and the engine work must grow linearly with the horizon:
 //   - the largest per-container retained hold-interval count is the same at
@@ -17,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "kubeshare/kubeshare.hpp"
+#include "oracles/cluster_parts.hpp"
 #include "workload/host.hpp"
 #include "workload/job.hpp"
 
@@ -34,13 +36,12 @@ struct SoakResult {
 /// within the horizon, so every GPU stays contended by 3 token holders.
 constexpr int kTenants = 12;
 
-SoakResult RunSoak(vgpu::TokenTimerMode mode, std::uint64_t seed,
-                   Duration horizon) {
+SoakResult RunSoak(bool reference, std::uint64_t seed, Duration horizon) {
   k8s::ClusterConfig ccfg;
   ccfg.nodes = 2;
   ccfg.gpus_per_node = 2;
-  ccfg.token_timers = mode;
-  k8s::Cluster cluster(ccfg);
+  k8s::Cluster cluster(ccfg, reference ? oracles::ReferenceTokenBackends()
+                                       : k8s::ClusterParts{});
   kubeshare::KubeShare kubeshare(&cluster);
   workload::WorkloadHost host(&cluster);
   EXPECT_TRUE(cluster.Start().ok());
@@ -82,7 +83,7 @@ SoakResult RunSoak(vgpu::TokenTimerMode mode, std::uint64_t seed,
 }
 
 struct SoakParam {
-  vgpu::TokenTimerMode mode;
+  bool reference;  // token daemons are the reference oracle
   std::uint64_t seed;
 };
 
@@ -90,9 +91,10 @@ class TokenHistorySoak : public ::testing::TestWithParam<SoakParam> {};
 
 TEST_P(TokenHistorySoak, StateBoundedAndEventsLinearOverEightfoldHorizon) {
   const Duration horizon = Seconds(120);
-  const SoakResult one = RunSoak(GetParam().mode, GetParam().seed, horizon);
+  const SoakResult one =
+      RunSoak(GetParam().reference, GetParam().seed, horizon);
   const SoakResult eight =
-      RunSoak(GetParam().mode, GetParam().seed, horizon * 8);
+      RunSoak(GetParam().reference, GetParam().seed, horizon * 8);
 
   // Every job is still running, so the long run really is 8x the work.
   EXPECT_EQ(one.running, static_cast<std::size_t>(kTenants));
@@ -107,14 +109,10 @@ TEST_P(TokenHistorySoak, StateBoundedAndEventsLinearOverEightfoldHorizon) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, TokenHistorySoak,
-    ::testing::Values(SoakParam{vgpu::TokenTimerMode::kWheel, 11},
-                      SoakParam{vgpu::TokenTimerMode::kWheel, 23},
-                      SoakParam{vgpu::TokenTimerMode::kReference, 11},
-                      SoakParam{vgpu::TokenTimerMode::kReference, 23}),
+    ::testing::Values(SoakParam{false, 11}, SoakParam{false, 23},
+                      SoakParam{true, 11}, SoakParam{true, 23}),
     [](const ::testing::TestParamInfo<SoakParam>& info) {
-      return std::string(info.param.mode == vgpu::TokenTimerMode::kWheel
-                             ? "Wheel"
-                             : "Reference") +
+      return std::string(info.param.reference ? "Reference" : "Wheel") +
              "Seed" + std::to_string(info.param.seed);
     });
 

@@ -35,6 +35,7 @@
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
 #include "metrics/swap.hpp"
+#include "oracles/cluster_parts.hpp"
 #include "workload/host.hpp"
 #include "workload/job.hpp"
 
@@ -57,7 +58,8 @@ struct RunOptions {
   bool oversub = false;
   double factor = 1.0;
   bool tq = false;
-  gpu::GpuExecMode exec = gpu::GpuExecMode::kFused;
+  /// Run on the per-kernel reference device instead of the fused one.
+  bool reference_gpus = false;
   std::uint64_t seed = 1;
   /// Scripted kTokenDaemonRestart + kDevMgrCrash mid-run.
   bool chaos = false;
@@ -78,11 +80,11 @@ OversubTraces RunOversubCluster(const RunOptions& opt) {
     k8s::ClusterConfig ccfg;
     ccfg.nodes = opt.nodes;
     ccfg.gpus_per_node = opt.gpus_per_node;
-    ccfg.exec = opt.exec;
     ccfg.oversub.enabled = opt.oversub;
     ccfg.oversub.swap.oversubscription_factor = opt.factor;
     ccfg.backend.tq.enabled = opt.tq;
-    k8s::Cluster cluster(ccfg);
+    k8s::Cluster cluster(ccfg, opt.reference_gpus ? oracles::ReferenceGpus()
+                                                  : k8s::ClusterParts{});
     kubeshare::KubeShareConfig kcfg;
     kcfg.allow_memory_overcommit = opt.oversub;
     kcfg.memory_overcommit_factor = opt.oversub ? opt.factor : 0.0;
@@ -274,9 +276,8 @@ TEST(OversubEquivalence, SwapHeavyFusedMatchesReferenceEngine) {
   fused.model_frac = 0.55;  // aggregate 1.65x capacity: every hand-off swaps
   fused.gpu_mem = 0.6;
   fused.horizon = Seconds(120);
-  fused.exec = gpu::GpuExecMode::kFused;
   RunOptions reference = fused;
-  reference.exec = gpu::GpuExecMode::kReference;
+  reference.reference_gpus = true;
   const OversubTraces a = RunOversubCluster(fused);
   const OversubTraces b = RunOversubCluster(reference);
   ExpectTracesEqual(a, b, "swap-heavy engines");

@@ -23,6 +23,7 @@
 #include "gpu/device.hpp"
 #include "k8s/cluster.hpp"
 #include "kubeshare/kubeshare.hpp"
+#include "oracles/cluster_parts.hpp"
 #include "workload/host.hpp"
 #include "workload/job.hpp"
 
@@ -43,7 +44,8 @@ struct RunOptions {
   bool spatial = false;
   /// Claim widths per tenant index; 0 = whole GPU. Resized cyclically.
   std::vector<int> claims;
-  gpu::GpuExecMode exec = gpu::GpuExecMode::kFused;
+  /// Run on the per-kernel reference device instead of the fused one.
+  bool reference_gpus = false;
   std::uint64_t seed = 1;
   int tenants = 6;
 };
@@ -56,10 +58,10 @@ SpatialTraces RunSpatialCluster(const RunOptions& opt) {
     k8s::ClusterConfig ccfg;
     ccfg.nodes = 2;
     ccfg.gpus_per_node = 2;
-    ccfg.exec = opt.exec;
     ccfg.spatial.enabled = opt.spatial;
     ccfg.spatial.sm_groups = kSmGroups;
-    k8s::Cluster cluster(ccfg);
+    k8s::Cluster cluster(ccfg, opt.reference_gpus ? oracles::ReferenceGpus()
+                                                  : k8s::ClusterParts{});
     kubeshare::KubeShare kubeshare(&cluster);
     workload::WorkloadHost host(&cluster);
 
@@ -177,10 +179,9 @@ TEST(SpatialEquivalence, SlicedClusterFusedMatchesReferenceEngine) {
     RunOptions fused;
     fused.spatial = true;
     fused.claims = {1, 2, 1, 3};
-    fused.exec = gpu::GpuExecMode::kFused;
     fused.seed = seed;
     RunOptions reference = fused;
-    reference.exec = gpu::GpuExecMode::kReference;
+    reference.reference_gpus = true;
     const SpatialTraces a = RunSpatialCluster(fused);
     const SpatialTraces b = RunSpatialCluster(reference);
     ExpectTracesEqual(a, b, "sliced-engines seed " + std::to_string(seed));

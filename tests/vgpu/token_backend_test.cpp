@@ -4,8 +4,8 @@
 
 #include <utility>
 
+#include "oracles/token_backend_reference.hpp"
 #include "sim/timer_wheel.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace ks::vgpu {
 namespace {

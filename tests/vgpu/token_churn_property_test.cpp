@@ -6,9 +6,9 @@
 #include "common/rng.hpp"
 #include "cuda/context.hpp"
 #include "gpu/device.hpp"
+#include "oracles/token_backend_reference.hpp"
 #include "vgpu/frontend_hook.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace ks::vgpu {
 namespace {
@@ -75,11 +75,13 @@ class BurstyClient {
   int completed_ = 0;
 };
 
+/// Both timer implementations must satisfy the churn properties: the
+/// production wheel and the one-event-per-deadline reference oracle.
+enum class Backend { kWheel, kReference };
+
 struct ChurnParam {
   std::uint64_t seed;
-  /// Both timer implementations must satisfy the churn properties: the
-  /// wheel (default) and the one-event-per-deadline reference oracle.
-  TokenTimerMode mode = TokenTimerMode::kWheel;
+  Backend mode = Backend::kWheel;
 };
 
 class TokenChurnProperty : public ::testing::TestWithParam<ChurnParam> {};
@@ -93,7 +95,7 @@ TEST_P(TokenChurnProperty, SurvivesRandomChurn) {
   sim::Simulation sim;
   gpu::GpuDevice dev(&sim, GpuUuid("GPU-C"));
   std::unique_ptr<TokenBackendApi> backend_ptr;
-  if (GetParam().mode == TokenTimerMode::kWheel) {
+  if (GetParam().mode == Backend::kWheel) {
     backend_ptr = std::make_unique<TokenBackend>(&sim);
   } else {
     backend_ptr = std::make_unique<TokenBackendReference>(&sim);
@@ -149,18 +151,18 @@ TEST_P(TokenChurnProperty, SurvivesRandomChurn) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, TokenChurnProperty,
     ::testing::Values(
-        ChurnParam{7, TokenTimerMode::kWheel},
-        ChurnParam{77, TokenTimerMode::kWheel},
-        ChurnParam{777, TokenTimerMode::kWheel},
-        ChurnParam{7777, TokenTimerMode::kWheel},
-        ChurnParam{77777, TokenTimerMode::kWheel},
-        ChurnParam{7, TokenTimerMode::kReference},
-        ChurnParam{77, TokenTimerMode::kReference},
-        ChurnParam{777, TokenTimerMode::kReference},
-        ChurnParam{7777, TokenTimerMode::kReference},
-        ChurnParam{77777, TokenTimerMode::kReference}),
+        ChurnParam{7, Backend::kWheel},
+        ChurnParam{77, Backend::kWheel},
+        ChurnParam{777, Backend::kWheel},
+        ChurnParam{7777, Backend::kWheel},
+        ChurnParam{77777, Backend::kWheel},
+        ChurnParam{7, Backend::kReference},
+        ChurnParam{77, Backend::kReference},
+        ChurnParam{777, Backend::kReference},
+        ChurnParam{7777, Backend::kReference},
+        ChurnParam{77777, Backend::kReference}),
     [](const ::testing::TestParamInfo<ChurnParam>& i) {
-      return std::string(i.param.mode == TokenTimerMode::kWheel ? "wheel"
+      return std::string(i.param.mode == Backend::kWheel ? "wheel"
                                                                 : "reference") +
              "_seed" + std::to_string(i.param.seed);
     });

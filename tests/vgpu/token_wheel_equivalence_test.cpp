@@ -27,12 +27,15 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracles/token_backend_reference.hpp"
 #include "sim/simulation.hpp"
 #include "vgpu/token_backend.hpp"
-#include "vgpu/token_backend_reference.hpp"
 
 namespace ks::vgpu {
 namespace {
+
+/// Which implementation one replay runs on.
+enum class Backend { kWheel, kReference };
 
 // ---------------------------------------------------------------------------
 // Churn plan: generated once per seed, replayed against both backends.
@@ -150,10 +153,10 @@ struct RunTrace {
   std::uint64_t lifetime_events = 0;
 };
 
-RunTrace RunPlan(const ChurnPlan& plan, TokenTimerMode mode) {
+RunTrace RunPlan(const ChurnPlan& plan, Backend mode) {
   sim::Simulation sim;
   std::unique_ptr<TokenBackendApi> backend;
-  if (mode == TokenTimerMode::kWheel) {
+  if (mode == Backend::kWheel) {
     backend = std::make_unique<TokenBackend>(&sim);
   } else {
     backend = std::make_unique<TokenBackendReference>(&sim);
@@ -256,8 +259,8 @@ class TokenWheelEquivalence : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(TokenWheelEquivalence, WheelMatchesReferenceTraceForTrace) {
   const ChurnPlan plan = MakePlan(GetParam().seed);
-  const RunTrace wheel = RunPlan(plan, TokenTimerMode::kWheel);
-  const RunTrace reference = RunPlan(plan, TokenTimerMode::kReference);
+  const RunTrace wheel = RunPlan(plan, Backend::kWheel);
+  const RunTrace reference = RunPlan(plan, Backend::kReference);
 
   ASSERT_EQ(wheel.events.size(), reference.events.size());
   for (std::size_t i = 0; i < wheel.events.size(); ++i) {
@@ -291,10 +294,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TokenWheelEquivalence,
 // 500 us ticks, so the wheel must schedule strictly fewer engine events
 // than one-per-deadline while reaching the exact same grant totals.
 
-std::uint64_t RunContendedNode(TokenTimerMode mode, std::uint64_t* grants) {
+std::uint64_t RunContendedNode(Backend mode, std::uint64_t* grants) {
   sim::Simulation sim;
   std::unique_ptr<TokenBackendApi> backend;
-  if (mode == TokenTimerMode::kWheel) {
+  if (mode == Backend::kWheel) {
     backend = std::make_unique<TokenBackend>(&sim);
   } else {
     backend = std::make_unique<TokenBackendReference>(&sim);
@@ -329,9 +332,9 @@ TEST(TokenWheelEquivalence, ContendedNodeSchedulesFewerEngineEvents) {
   std::uint64_t wheel_grants = 0;
   std::uint64_t reference_grants = 0;
   const std::uint64_t wheel_events =
-      RunContendedNode(TokenTimerMode::kWheel, &wheel_grants);
+      RunContendedNode(Backend::kWheel, &wheel_grants);
   const std::uint64_t reference_events =
-      RunContendedNode(TokenTimerMode::kReference, &reference_grants);
+      RunContendedNode(Backend::kReference, &reference_grants);
   EXPECT_EQ(wheel_grants, reference_grants);
   EXPECT_GT(wheel_grants, 100u);
   EXPECT_LT(wheel_events, reference_events);
