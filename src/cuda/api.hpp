@@ -80,11 +80,18 @@ class CudaApi {
 
   /// Declares `count` identical kernels enqueued back to back on `stream`
   /// (a steady kernel stream: train steps, fixed-cost inference requests).
-  /// `on_unit` fires once per unit in FIFO order with the unit's exact
-  /// finish time; delivery may be batched in arrears onto a single engine
-  /// event (the fused-stream fast path), so callbacks must use the
-  /// `finish` argument rather than the current simulation time. Semantics
-  /// are otherwise identical to `count` LaunchKernel calls.
+  /// `on_unit` receives this launch's units as gpu::UnitRange deliveries
+  /// in FIFO order, each unit in exactly one range with its exact finish
+  /// time. A fused run reaches the callback as one range (the fused-stream
+  /// fast path), delivered in arrears on a single engine event, so
+  /// callbacks must use the range's times rather than the current
+  /// simulation time. A range never spans two launches: where a delivered
+  /// run crosses launch boundaries it is split into chunks, and each
+  /// chunk's callback runs after the stream's counters (RetiredUnits,
+  /// PendingKernels) already include the whole chunk and before the next
+  /// chunk's. Work queued behind the run is submitted, and Synchronize
+  /// waiters fire, only after the last chunk. Semantics are otherwise
+  /// identical to `count` LaunchKernel calls.
   virtual CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
                                         StreamId stream,
                                         gpu::UnitDoneFn on_unit) = 0;

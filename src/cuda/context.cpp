@@ -1,5 +1,6 @@
 #include "cuda/context.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -52,7 +53,7 @@ CudaResult CudaContext::MemPrefetch(std::uint64_t bytes, Duration duration,
                                     HostFn on_complete) {
   gpu::UnitDoneFn done;
   if (on_complete) {
-    done = [fn = std::move(on_complete)](Time) { fn(); };
+    done = [fn = std::move(on_complete)](gpu::UnitRange) { fn(); };
   }
   device_->ChargeMigration(owner_, bytes, duration, std::move(done));
   return CudaResult::kSuccess;
@@ -136,7 +137,9 @@ void CudaContext::SubmitNext(StreamId stream_id) {
       stream.batch_delivered = 0;
       stream.batch = device_->SubmitRepeat(
           owner_, desc, total,
-          [this, stream_id](Time finish) { OnUnitRetired(stream_id, finish); });
+          [this, stream_id](gpu::UnitRange units) {
+            OnUnitRetired(stream_id, units);
+          });
       if (stream.batch == 0) {
         // The device fenced the batch (expired/revoked token epoch): the
         // units are dropped without callbacks, and the stream keeps
@@ -180,42 +183,53 @@ void CudaContext::OnKernelRetired(StreamId stream_id, HostFn user_fn) {
   MaybeFireSync();
 }
 
-void CudaContext::OnUnitRetired(StreamId stream_id, Time finish) {
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) {
-    --pending_kernels_;
-    MaybeFireSync();
-    return;
+void CudaContext::OnUnitRetired(StreamId stream_id, gpu::UnitRange units) {
+  // Split the range only where it crosses into the next coalesced entry:
+  // each chunk takes one stream lookup, one callback copy and one call. The
+  // stream counters move by the whole chunk before its callback runs, and
+  // the end-of-batch work runs once, after the chunk that closes the batch.
+  int done = 0;
+  while (done < units.count) {
+    const int rest = units.count - done;
+    auto it = streams_.find(stream_id);
+    if (it == streams_.end()) {
+      pending_kernels_ -= static_cast<std::size_t>(rest);
+      break;
+    }
+    Stream& stream = it->second;
+    // CancelPending may have shrunk batch_size below the segment total;
+    // tail segments past the final delivered unit are simply never reached.
+    while (stream.seg_idx < stream.segs.size() &&
+           stream.seg_fired >= stream.segs[stream.seg_idx].first) {
+      ++stream.seg_idx;
+      stream.seg_fired = 0;
+    }
+    int take = rest;
+    gpu::UnitDoneFn user_fn;
+    if (stream.seg_idx < stream.segs.size()) {
+      auto& seg = stream.segs[stream.seg_idx];
+      take = std::min(rest, seg.first - stream.seg_fired);
+      user_fn = seg.second;
+      stream.seg_fired += take;
+    }
+    const auto n = static_cast<std::size_t>(take);
+    stream.retired_units += n;
+    stream.batch_delivered += n;
+    pending_kernels_ -= n;
+    const bool last = stream.batch_delivered >= stream.batch_size;
+    if (last) {
+      stream.in_flight = false;
+      stream.batch = 0;
+      stream.batch_size = 0;
+      stream.batch_delivered = 0;
+      stream.segs.clear();
+      stream.seg_idx = 0;
+      stream.seg_fired = 0;
+    }
+    if (user_fn) user_fn(units.Slice(done, take));
+    done += take;
+    if (last && streams_.count(stream_id) > 0) SubmitNext(stream_id);
   }
-  Stream& stream = it->second;
-  ++stream.retired_units;
-  ++stream.batch_delivered;
-  --pending_kernels_;
-  // Map this unit back to its entry's callback. CancelPending may have
-  // shrunk batch_size below the segment total; tail segments past the
-  // final delivered unit are simply never reached.
-  gpu::UnitDoneFn user_fn;
-  while (stream.seg_idx < stream.segs.size() &&
-         stream.seg_fired >= stream.segs[stream.seg_idx].first) {
-    ++stream.seg_idx;
-    stream.seg_fired = 0;
-  }
-  if (stream.seg_idx < stream.segs.size()) {
-    user_fn = stream.segs[stream.seg_idx].second;
-    ++stream.seg_fired;
-  }
-  const bool last = stream.batch_delivered >= stream.batch_size;
-  if (last) {
-    stream.in_flight = false;
-    stream.batch = 0;
-    stream.batch_size = 0;
-    stream.batch_delivered = 0;
-    stream.segs.clear();
-    stream.seg_idx = 0;
-    stream.seg_fired = 0;
-  }
-  if (user_fn) user_fn(finish);
-  if (last && streams_.count(stream_id) > 0) SubmitNext(stream_id);
   MaybeFireSync();
 }
 

@@ -85,7 +85,8 @@ class CudaContext final : public CudaApi {
     std::size_t retired_units = 0;
     /// In-flight repeat batch forwarded to the device as one SubmitRepeat:
     /// adjacent identical-desc repeat entries coalesce, and `segs` maps
-    /// delivered units back to each entry's callback.
+    /// delivered ranges back to each entry's callback (`seg_fired` units of
+    /// segment `seg_idx` delivered so far).
     gpu::RepeatId batch = 0;
     std::size_t batch_size = 0;
     std::size_t batch_delivered = 0;
@@ -102,7 +103,7 @@ class CudaContext final : public CudaApi {
 
   void SubmitNext(StreamId stream_id);
   void OnKernelRetired(StreamId stream_id, HostFn user_fn);
-  void OnUnitRetired(StreamId stream_id, Time finish);
+  void OnUnitRetired(StreamId stream_id, gpu::UnitRange units);
   void CompleteEvent(EventId event);
   void MaybeFireSync();
 

@@ -213,7 +213,7 @@ void GpuDevice::OnSlicedComplete(std::uint64_t seq) {
   if (sliced_.empty() && !EngineBusy() && !MigrationBusy()) {
     util_.Stop(r.finish);
   }
-  if (r.on_done) r.on_done(r.finish);
+  if (r.on_done) r.on_done(UnitRange::One(r.finish));
   if (r.chain != 0) AdvanceSlicedChain(r.chain);
 }
 
@@ -304,7 +304,7 @@ void GpuDevice::OnMigrationComplete(std::uint64_t seq) {
   migrations_.erase(it);
   const Time now = sim_->Now();
   if (migrations_.empty() && !EngineBusy() && !SlicedBusy()) util_.Stop(now);
-  if (m.on_done) m.on_done(now);
+  if (m.on_done) m.on_done(UnitRange::One(now));
 }
 
 void GpuDevice::DetachMigrations(const ContainerId& owner) {
@@ -372,7 +372,7 @@ KernelId GpuDevice::Submit(const ContainerId& owner, const KernelDesc& desc,
   if (HasSliceAssignment(owner)) {
     UnitDoneFn done;
     if (on_complete) {
-      done = [fn = std::move(on_complete)](Time) { fn(); };
+      done = [fn = std::move(on_complete)](UnitRange) { fn(); };
     }
     return SubmitSliced(owner, desc, std::move(done), /*chain=*/0);
   }
@@ -387,7 +387,7 @@ KernelId GpuDevice::Submit(const ContainerId& owner, const KernelDesc& desc,
   r.name = desc.name;
   r.start = sim_->Now();
   if (on_complete) {
-    r.on_done = [fn = std::move(on_complete)](Time) { fn(); };
+    r.on_done = [fn = std::move(on_complete)](UnitRange) { fn(); };
   }
   InsertRunning(std::move(r));
   RecomputeRate();
@@ -466,34 +466,43 @@ void GpuDevice::AdvanceChain(RepeatId id) {
   StartChainUnit(id);
 }
 
+int GpuDevice::DueUnits(const FusedGroup& g, Time now) {
+  const std::int64_t due = (now - g.anchor).count() / g.unit_wall.count();
+  return static_cast<int>(
+      std::clamp<std::int64_t>(due, 0, static_cast<std::int64_t>(g.total)));
+}
+
+UnitRange GpuDevice::RetireUnits(const FusedGroup& g, int count) {
+  const KernelId first_id = next_kernel_;
+  next_kernel_ += static_cast<KernelId>(count);
+  completed_ += static_cast<std::uint64_t>(count);
+  if (trace_) {
+    for (int i = 0; i < count; ++i) {
+      const Time start = g.anchor + Duration{static_cast<std::int64_t>(i) *
+                                             g.unit_wall.count()};
+      RecordTrace(first_id + static_cast<KernelId>(i), g.owner, g.desc.name,
+                  start, start + g.unit_wall);
+    }
+  }
+  return UnitRange{g.anchor + g.unit_wall, g.unit_wall, count};
+}
+
 void GpuDevice::SplitGroup(bool fire_callbacks) {
   FusedGroup g = std::move(*group_);
   group_.reset();
   if (g.event != sim::kInvalidEvent) sim_->Cancel(g.event);
   const Time now = sim_->Now();
-  const std::int64_t unit_wall = g.unit_wall.count();
-  std::int64_t due = (now - g.anchor).count() / unit_wall;
-  if (due < 0) due = 0;
-  if (due > g.total) due = g.total;
+  const int due = DueUnits(g, now);
 
   // Materialize finished units first (ids in start order, matching the
   // oracle's allocation at each unit's start time), then convert the
-  // in-flight unit, then deliver the callbacks — a callback may re-enter
+  // in-flight unit, then deliver the due range — a callback may re-enter
   // (Submit / SubmitRepeat), so the engine state must be settled first.
-  std::vector<Time> finishes;
-  finishes.reserve(static_cast<std::size_t>(due));
-  for (std::int64_t i = 0; i < due; ++i) {
-    const KernelId id = next_kernel_++;
-    const Time start = g.anchor + Duration{i * unit_wall};
-    const Time finish = g.anchor + Duration{(i + 1) * unit_wall};
-    ++completed_;
-    RecordTrace(id, g.owner, g.desc.name, start, finish);
-    finishes.push_back(finish);
-  }
+  const UnitRange done = RetireUnits(g, due);
 
   if (due < g.total) {
     Progress();
-    const Time start = g.anchor + Duration{due * unit_wall};
+    const Time start = g.anchor + Duration{due * g.unit_wall.count()};
     // Burn exactly what the oracle's Progress() would have: the unit ran
     // alone since `start` at its exclusive rate.
     const double stretch =
@@ -518,8 +527,7 @@ void GpuDevice::SplitGroup(bool fire_callbacks) {
     ChainTail tail;
     tail.owner = g.owner;
     tail.desc = g.desc;
-    tail.remaining =
-        fire_callbacks ? g.total - static_cast<int>(due) - 1 : 0;
+    tail.remaining = fire_callbacks ? g.total - due - 1 : 0;
     tail.finished = static_cast<std::size_t>(due);
     tail.on_unit = fire_callbacks ? g.on_unit : nullptr;
     tail.in_flight = true;
@@ -528,32 +536,16 @@ void GpuDevice::SplitGroup(bool fire_callbacks) {
     Reschedule();
   }
 
-  if (fire_callbacks && g.on_unit) {
-    for (const Time finish : finishes) g.on_unit(finish);
-  }
+  if (fire_callbacks && g.on_unit && due > 0) g.on_unit(done);
 }
 
 void GpuDevice::OnGroupEvent() {
   FusedGroup g = std::move(*group_);
   group_.reset();
-  const std::int64_t unit_wall = g.unit_wall.count();
-  std::vector<Time> finishes;
-  finishes.reserve(static_cast<std::size_t>(g.total));
-  for (int i = 0; i < g.total; ++i) {
-    const KernelId id = next_kernel_++;
-    const Time start =
-        g.anchor + Duration{static_cast<std::int64_t>(i) * unit_wall};
-    const Time finish =
-        g.anchor + Duration{static_cast<std::int64_t>(i + 1) * unit_wall};
-    ++completed_;
-    RecordTrace(id, g.owner, g.desc.name, start, finish);
-    finishes.push_back(finish);
-  }
+  const UnitRange done = RetireUnits(g, g.total);
   Progress();
   Reschedule();  // running set empty, no group -> closes the busy interval
-  if (g.on_unit) {
-    for (const Time finish : finishes) g.on_unit(finish);
-  }
+  if (g.on_unit) g.on_unit(done);
 }
 
 std::size_t GpuDevice::CancelRepeatTail(RepeatId id) {
@@ -575,11 +567,7 @@ std::size_t GpuDevice::CancelRepeatTail(RepeatId id) {
 std::size_t GpuDevice::RepeatUnitsFinished(RepeatId id) const {
   if (IsSlicedRepeat(id)) return SlicedUnitsFinished(id);
   if (group_ && group_->id == id) {
-    const std::int64_t unit_wall = group_->unit_wall.count();
-    std::int64_t due = (sim_->Now() - group_->anchor).count() / unit_wall;
-    if (due < 0) due = 0;
-    if (due > group_->total) due = group_->total;
-    return static_cast<std::size_t>(due);
+    return static_cast<std::size_t>(DueUnits(*group_, sim_->Now()));
   }
   auto it = chains_.find(id);
   return it == chains_.end() ? 0 : it->second.finished;
@@ -614,11 +602,7 @@ std::size_t GpuDevice::active_kernels() const {
 std::uint64_t GpuDevice::completed_kernels() const {
   std::uint64_t total = completed_;
   if (group_) {
-    const std::int64_t unit_wall = group_->unit_wall.count();
-    std::int64_t due = (sim_->Now() - group_->anchor).count() / unit_wall;
-    if (due < 0) due = 0;
-    if (due > group_->total) due = group_->total;
-    total += static_cast<std::uint64_t>(due);
+    total += static_cast<std::uint64_t>(DueUnits(*group_, sim_->Now()));
   }
   return total;
 }
@@ -665,7 +649,7 @@ void GpuDevice::OnCompletionEvent() {
   RecomputeRate();
   Reschedule();
   for (auto& d : done) {
-    if (d.fn) d.fn(now);
+    if (d.fn) d.fn(UnitRange::One(now));
     if (d.chain != 0) AdvanceChain(d.chain);
   }
 }

@@ -49,11 +49,32 @@ using DevicePtr = std::uint64_t;
 /// Handle to a repeated-kernel stream declared with SubmitRepeat.
 using RepeatId = std::uint64_t;
 
-/// Per-unit completion callback for repeated kernels. `finish` is the exact
-/// retirement time of the unit; callbacks may be *delivered* in arrears
-/// (batched onto the stream's single engine event), so implementations must
-/// use `finish` rather than Simulation::Now() for timing.
-using UnitDoneFn = std::function<void(Time finish)>;
+/// A run of `count` consecutive retired units of one repeat stream: unit i
+/// (0-based) finished at `first + i*step`. A fused run retires as one range;
+/// a chained, sliced or migration completion is a range of one (`step` 0).
+struct UnitRange {
+  Time first{0};
+  Duration step{0};
+  int count = 1;
+
+  static UnitRange One(Time finish) {
+    return UnitRange{finish, Duration{0}, 1};
+  }
+  Time At(int i) const {
+    return first + Duration{step.count() * static_cast<std::int64_t>(i)};
+  }
+  /// The `n` units starting at unit `offset` of this range.
+  UnitRange Slice(int offset, int n) const {
+    return UnitRange{At(offset), step, n};
+  }
+};
+
+/// Completion callback for repeated kernels, fired with ranges of retired
+/// units in unit order; every unit of a stream is covered by exactly one
+/// delivered range. Finish times are exact, but ranges may be *delivered*
+/// in arrears (on the stream's single engine event), so implementations
+/// must use the range's times rather than Simulation::Now() for timing.
+using UnitDoneFn = std::function<void(UnitRange units)>;
 
 /// One kernel's lifetime, reported in retirement order. `start`/`finish`
 /// are exact regardless of the execution mode (fused or per-kernel), which
@@ -129,17 +150,19 @@ class GpuDevice {
 
   /// Declares `count` identical kernels to run back to back (a steady
   /// kernel stream: train steps, inference requests at a fixed service
-  /// time). `on_unit` fires once per unit, in order, with the unit's exact
-  /// finish time; delivery may be batched onto one engine event. When the
-  /// device is otherwise idle the whole run retires on a single event;
-  /// otherwise units are chained one at a time exactly like Submit.
+  /// time). `on_unit` receives the retired units as ranges, in order. When
+  /// the device is otherwise idle the whole run retires on a single event
+  /// and reaches `on_unit` as one range; a split (foreign submit, cancel)
+  /// delivers the due prefix as one range, and chained units (run one at a
+  /// time exactly like Submit) arrive as ranges of one.
   virtual RepeatId SubmitRepeat(const ContainerId& owner,
                                 const KernelDesc& desc, int count,
                                 UnitDoneFn on_unit);
 
   /// Cancels the not-yet-started units of a repeat stream (the in-flight
   /// unit always completes — the device cannot preempt). Units already due
-  /// are delivered first. Returns the number of units cancelled.
+  /// are delivered first, as one range. Returns the number of units
+  /// cancelled.
   virtual std::size_t CancelRepeatTail(RepeatId id);
 
   /// Units of `id` that have finished by now, including due-but-undelivered
@@ -348,11 +371,18 @@ class GpuDevice {
   void OnCompletionEvent();
   void OnGroupEvent();
   /// Collapses the fused group into chained per-unit execution: due units
-  /// materialize (ids, traces, callbacks), the in-flight unit becomes a
-  /// normal running kernel, the tail keeps chaining. Called on any
-  /// membership / cancellation / teardown event so every externally
+  /// materialize (ids, traces, one range callback), the in-flight unit
+  /// becomes a normal running kernel, the tail keeps chaining. Called on
+  /// any membership / cancellation / teardown event so every externally
   /// visible trace matches the per-kernel oracle.
   void SplitGroup(bool fire_callbacks);
+  /// Units of `g` finished by `now`: floor((now - anchor) / unit_wall),
+  /// clamped to [0, total].
+  static int DueUnits(const FusedGroup& g, Time now);
+  /// Retires the first `count` units of `g`: allocates their kernel ids in
+  /// start order and traces them (only when a trace observer is
+  /// installed). Returns the range to deliver.
+  UnitRange RetireUnits(const FusedGroup& g, int count);
   void AdvanceChain(RepeatId id);
   void StartChainUnit(RepeatId id);
   void InsertRunning(Running r);

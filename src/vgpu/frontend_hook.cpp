@@ -381,7 +381,7 @@ void FrontendHook::Drain() {
       in_flight_ += batch;
       const cuda::CudaResult r = inner_->LaunchKernelStream(
           desc, static_cast<int>(batch), sid,
-          [this, sid](Time finish) { OnUnitRetired(sid, finish); });
+          [this, sid](gpu::UnitRange units) { OnUnitRetired(sid, units); });
       if (r != cuda::CudaResult::kSuccess) {
         KS_LOG(kError) << "inner stream launch failed: "
                        << cuda::CudaResultName(r);
@@ -425,44 +425,55 @@ void FrontendHook::OnKernelRetired(cuda::StreamId stream,
   MaybeFireSync();
 }
 
-void FrontendHook::OnUnitRetired(cuda::StreamId stream, Time finish) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) {
-    --in_flight_;
-    --pending_kernels_;
-    MaybeFireSync();
-    return;
-  }
-  StreamQueue& q = it->second;
-  ++q.fwd_delivered;
-  --in_flight_;
-  --pending_kernels_;
-  // Map the unit back to its source entry's callback. Recall may have
-  // truncated segments; exhausted ones are skipped.
-  gpu::UnitDoneFn user_fn;
-  while (q.seg_idx < q.segs.size() &&
-         q.seg_fired >= q.segs[q.seg_idx].first) {
-    ++q.seg_idx;
-    q.seg_fired = 0;
-  }
-  if (q.seg_idx < q.segs.size()) {
-    user_fn = q.segs[q.seg_idx].second;
-    ++q.seg_fired;
-  }
-  const bool last = q.fwd_delivered >= q.fwd_size;
-  if (last) {
-    q.in_flight = false;
-    q.fwd_size = 0;
-    q.fwd_delivered = 0;
-    q.segs.clear();
-    q.seg_idx = 0;
-    q.seg_fired = 0;
-  }
-  if (user_fn) user_fn(finish);
-  if (last) {
-    FlushMarkers();
-    if (token_valid_) Drain();
-    MaybeReleaseOrRerequest();
+void FrontendHook::OnUnitRetired(cuda::StreamId stream,
+                                 gpu::UnitRange units) {
+  // Split the range only at source-entry (`segs`) boundaries; counters move
+  // by the whole chunk before its callback, and the end-of-batch work
+  // (markers, next forward, token release) runs once, after the last chunk.
+  int done = 0;
+  while (done < units.count) {
+    const int rest = units.count - done;
+    auto it = streams_.find(stream);
+    if (it == streams_.end()) {
+      in_flight_ -= static_cast<std::size_t>(rest);
+      pending_kernels_ -= static_cast<std::size_t>(rest);
+      break;
+    }
+    StreamQueue& q = it->second;
+    // Recall may have truncated segments; exhausted ones are skipped.
+    while (q.seg_idx < q.segs.size() &&
+           q.seg_fired >= q.segs[q.seg_idx].first) {
+      ++q.seg_idx;
+      q.seg_fired = 0;
+    }
+    int take = rest;
+    gpu::UnitDoneFn user_fn;
+    if (q.seg_idx < q.segs.size()) {
+      auto& seg = q.segs[q.seg_idx];
+      take = std::min(rest, seg.first - q.seg_fired);
+      user_fn = seg.second;
+      q.seg_fired += take;
+    }
+    const auto n = static_cast<std::size_t>(take);
+    q.fwd_delivered += n;
+    in_flight_ -= n;
+    pending_kernels_ -= n;
+    const bool last = q.fwd_delivered >= q.fwd_size;
+    if (last) {
+      q.in_flight = false;
+      q.fwd_size = 0;
+      q.fwd_delivered = 0;
+      q.segs.clear();
+      q.seg_idx = 0;
+      q.seg_fired = 0;
+    }
+    if (user_fn) user_fn(units.Slice(done, take));
+    done += take;
+    if (last) {
+      FlushMarkers();
+      if (token_valid_) Drain();
+      MaybeReleaseOrRerequest();
+    }
   }
   MaybeFireSync();
 }

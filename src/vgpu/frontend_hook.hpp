@@ -90,6 +90,12 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   /// inner launch, so the device can fuse them onto a single engine event.
   /// The final in-quota unit is always forwarded alone, keeping
   /// expiry-boundary event ordering identical to unbatched forwarding.
+  /// A forwarded batch retires back through the driver as unit ranges; the
+  /// hook splits each range only where it crosses from one source launch
+  /// to the next, so `on_unit` sees one range per chunk, called after the
+  /// hook's counters (PendingKernels, token in-flight accounting) include
+  /// the whole chunk. Queued markers, the next forward and the token
+  /// release/re-request run once per batch, after its last chunk.
   cuda::CudaResult LaunchKernelStream(const gpu::KernelDesc& desc, int count,
                                       cuda::StreamId stream,
                                       gpu::UnitDoneFn on_unit) override;
@@ -174,8 +180,9 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
     bool in_flight = false;
     /// Forwarded batch (token-interval fast path): units handed to the
     /// inner driver as one LaunchKernelStream call. `segs` maps delivered
-    /// units back to each source entry's callback, and lets a backend
-    /// restart recall the unstarted tail into `pending`.
+    /// ranges back to each source entry's callback (`seg_fired` units of
+    /// segment `seg_idx` delivered so far), and lets a backend restart
+    /// recall the unstarted tail into `pending`.
     gpu::KernelDesc fwd_desc;
     std::size_t fwd_size = 0;
     std::size_t fwd_delivered = 0;
@@ -190,7 +197,7 @@ class FrontendHook final : public cuda::CudaApi, public TokenClient {
   /// Forwards event markers at queue heads (token-independent).
   void FlushMarkers();
   void OnKernelRetired(cuda::StreamId stream, cuda::HostFn user_fn);
-  void OnUnitRetired(cuda::StreamId stream, Time finish);
+  void OnUnitRetired(cuda::StreamId stream, gpu::UnitRange units);
   /// Pulls every not-yet-started unit of forwarded batches back into the
   /// frontend queues (token died under them: expiry or backend restart).
   /// The in-flight unit always retires on its own — kernels are

@@ -33,9 +33,9 @@ void TrainingJob::Start(cuda::CudaApi* api, sim::Simulation* /*sim*/,
   // The whole run is one declared kernel stream: the steps are identical
   // and back to back, which is what lets the device retire them fused.
   const cuda::CudaResult r = api_->LaunchKernelStream(
-      kernel, spec_.steps, cuda::kDefaultStream, [this](Time /*finish*/) {
+      kernel, spec_.steps, cuda::kDefaultStream, [this](gpu::UnitRange units) {
         if (stopped_) return;
-        ++completed_steps_;
+        completed_steps_ += units.count;
         if (completed_steps_ >= spec_.steps) {
           finished_ = true;
           if (done_) done_(true);
@@ -97,9 +97,10 @@ void PhasedTrainingJob::NextEpoch() {
   // epochs is the membership boundary that naturally ends a fused run.
   const cuda::CudaResult r = api_->LaunchKernelStream(
       kernel, spec_.steps_per_epoch, cuda::kDefaultStream,
-      [this](Time /*finish*/) {
+      [this](gpu::UnitRange units) {
         if (stopped_) return;
-        if (++steps_in_epoch_ >= spec_.steps_per_epoch) FinishEpoch();
+        steps_in_epoch_ += units.count;
+        if (steps_in_epoch_ >= spec_.steps_per_epoch) FinishEpoch();
       });
   if (r != cuda::CudaResult::kSuccess && done_) done_(false);
 }
@@ -180,9 +181,12 @@ void InferenceJob::OnArrival() {
   // A declared single-unit stream: a backlog of queued requests presents
   // as a run of identical units the driver can coalesce and the device can
   // fuse. The unit's finish time is exact even when delivered in arrears.
+  // Each request is its own launch, so its range always holds one unit.
   const cuda::CudaResult r = api_->LaunchKernelStream(
       kernel, 1, cuda::kDefaultStream,
-      [this, arrival](Time finish) { OnServed(arrival, finish); });
+      [this, arrival](gpu::UnitRange units) {
+        for (int i = 0; i < units.count; ++i) OnServed(arrival, units.At(i));
+      });
   if (r != cuda::CudaResult::kSuccess) {
     if (done_) done_(false);
     return;
@@ -242,11 +246,13 @@ bool RequestServerJob::Submit(Time arrival, ServedFn on_served) {
   // carries the exact finish time even when delivered in arrears.
   const cuda::CudaResult r = api_->LaunchKernelStream(
       kernel, 1, cuda::kDefaultStream,
-      [this, arrival, fn = std::move(on_served)](Time finish) {
-        if (stopped_) return;
-        --inflight_;
-        ++served_;
-        if (fn) fn(arrival, finish);
+      [this, arrival, fn = std::move(on_served)](gpu::UnitRange units) {
+        for (int i = 0; i < units.count; ++i) {
+          if (stopped_) return;
+          --inflight_;
+          ++served_;
+          if (fn) fn(arrival, units.At(i));
+        }
       });
   if (r != cuda::CudaResult::kSuccess) {
     --inflight_;

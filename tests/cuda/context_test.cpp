@@ -202,5 +202,180 @@ TEST_F(CudaContextTest, CompletionCallbackCanLaunchAgain) {
   EXPECT_EQ(chain, 3);
 }
 
+
+// ---- Range retirement ------------------------------------------------------
+// A fused device run reaches the context as one unit range; the context
+// splits it only where it crosses from one coalesced launch to the next.
+
+/// One delivered range, tagged with the launch it belongs to, plus the
+/// context's counters and sync state as the callback saw them.
+struct Delivery {
+  int tag = 0;
+  gpu::UnitRange units;
+  std::size_t retired = 0;
+  std::size_t pending = 0;
+  bool synced = false;
+};
+
+class CudaContextRangeTest : public CudaContextTest {
+ protected:
+  const gpu::KernelDesc step_{Millis(10), 0.0, "step"};
+
+  gpu::UnitDoneFn Record(int tag, StreamId stream = kDefaultStream) {
+    return [this, tag, stream](gpu::UnitRange r) {
+      log_.push_back({tag, r, ctx_.RetiredUnits(stream),
+                      ctx_.PendingKernels(), synced_});
+    };
+  }
+  /// A 5 ms kernel ahead of the launches under test: while it runs they
+  /// queue, and when it retires they coalesce into one device batch.
+  void Gate(StreamId stream = kDefaultStream) {
+    ASSERT_EQ(ctx_.LaunchKernel({Millis(5), 0.0, "gate"}, stream, nullptr),
+              CudaResult::kSuccess);
+  }
+  void Launch(int tag, int count, StreamId stream = kDefaultStream) {
+    ASSERT_EQ(
+        ctx_.LaunchKernelStream(step_, count, stream, Record(tag, stream)),
+        CudaResult::kSuccess);
+  }
+
+  std::vector<Delivery> log_;
+  bool synced_ = false;
+};
+
+void ExpectRange(const Delivery& d, int tag, Time first, Duration step,
+                 int count) {
+  EXPECT_EQ(d.tag, tag);
+  EXPECT_EQ(d.units.first, first) << "tag " << tag;
+  EXPECT_EQ(d.units.step, step) << "tag " << tag;
+  EXPECT_EQ(d.units.count, count) << "tag " << tag;
+}
+
+TEST_F(CudaContextRangeTest, RangeSplitsOnlyAtLaunchBoundaries) {
+  Gate();
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  const std::uint64_t before = sim_.lifetime_events();
+  sim_.Run();
+  // The 9-unit batch ran fused from 5 ms: it armed one engine event (the
+  // gate's was armed before `before`), and made one delivery per launch.
+  EXPECT_EQ(sim_.lifetime_events() - before, 1u);
+  ASSERT_EQ(log_.size(), 3u);
+  ExpectRange(log_[0], 1, Millis(15), Millis(10), 2);
+  ExpectRange(log_[1], 2, Millis(35), Millis(10), 3);
+  ExpectRange(log_[2], 3, Millis(65), Millis(10), 4);
+  EXPECT_EQ(ctx_.RetiredUnits(kDefaultStream), 10u);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
+TEST_F(CudaContextRangeTest, CountersCoverTheWholeChunkBeforeItsCallback) {
+  Gate();
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  ASSERT_EQ(ctx_.Synchronize([&] { synced_ = true; }), CudaResult::kSuccess);
+  sim_.Run();
+  ASSERT_EQ(log_.size(), 3u);
+  // Gate + 2, + 3, + 4 retired; 7, 4, 0 still pending.
+  EXPECT_EQ(log_[0].retired, 3u);
+  EXPECT_EQ(log_[0].pending, 7u);
+  EXPECT_EQ(log_[1].retired, 6u);
+  EXPECT_EQ(log_[1].pending, 4u);
+  EXPECT_EQ(log_[2].retired, 10u);
+  EXPECT_EQ(log_[2].pending, 0u);
+  // Synchronize fires only after the last chunk, not when the first chunk
+  // of the range arrives.
+  for (const Delivery& d : log_) EXPECT_FALSE(d.synced) << "tag " << d.tag;
+  EXPECT_TRUE(synced_);
+}
+
+TEST_F(CudaContextRangeTest, CallbackLaunchingAtChunkBoundaryRunsAfterBatch) {
+  Gate();
+  ASSERT_EQ(ctx_.LaunchKernelStream(step_, 2, kDefaultStream,
+                                    [&](gpu::UnitRange r) {
+                                      log_.push_back({1, r});
+                                      Launch(4, 2);
+                                    }),
+            CudaResult::kSuccess);
+  Launch(2, 3);
+  sim_.Run();
+  ASSERT_EQ(log_.size(), 3u);
+  ExpectRange(log_[0], 1, Millis(15), Millis(10), 2);
+  ExpectRange(log_[1], 2, Millis(35), Millis(10), 3);
+  // The re-launch queued behind the in-flight batch and ran fused after it.
+  ExpectRange(log_[2], 4, Millis(65), Millis(10), 2);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
+TEST_F(CudaContextRangeTest, CancelMidGroupDeliversDuePrefixFirst) {
+  Gate();
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  std::size_t cancelled = 0;
+  std::size_t delivered_in_cancel = 0;
+  // At 40 ms three units are due (15, 25, 35 ms) and the fourth is in flight.
+  sim_.ScheduleAt(Millis(40), [&] {
+    cancelled = ctx_.CancelPending(kDefaultStream);
+    delivered_in_cancel = log_.size();
+  });
+  sim_.Run();
+  EXPECT_EQ(cancelled, 5u);
+  EXPECT_EQ(delivered_in_cancel, 2u);
+  ASSERT_EQ(log_.size(), 3u);
+  // The due prefix arrived as one range, split at the launch boundary.
+  ExpectRange(log_[0], 1, Millis(15), Millis(10), 2);
+  ExpectRange(log_[1], 2, Millis(35), Millis(10), 1);
+  // The in-flight unit retired on its own as a range of one.
+  ExpectRange(log_[2], 2, Millis(45), Duration{0}, 1);
+  EXPECT_EQ(ctx_.RetiredUnits(kDefaultStream), 5u);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
+TEST_F(CudaContextRangeTest, SyncWaiterAddedMidRangeMayDestroyTheStream) {
+  StreamId s = 0;
+  ASSERT_EQ(ctx_.StreamCreate(&s), CudaResult::kSuccess);
+  Gate(s);
+  CudaResult destroyed = CudaResult::kErrorNotReady;
+  ASSERT_EQ(ctx_.LaunchKernelStream(
+                step_, 2, s,
+                [&](gpu::UnitRange r) {
+                  log_.push_back({1, r});
+                  ctx_.Synchronize([&] { destroyed = ctx_.StreamDestroy(s); });
+                }),
+            CudaResult::kSuccess);
+  Launch(2, 3, s);
+  sim_.Run();
+  ASSERT_EQ(log_.size(), 2u);
+  ExpectRange(log_[0], 1, Millis(15), Millis(10), 2);
+  ExpectRange(log_[1], 2, Millis(35), Millis(10), 3);
+  // The waiter ran once the range's last chunk was in, and the stream it
+  // destroyed was not touched again.
+  EXPECT_EQ(destroyed, CudaResult::kSuccess);
+  EXPECT_EQ(ctx_.LaunchKernel(step_, s, nullptr),
+            CudaResult::kErrorInvalidHandle);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
+TEST_F(CudaContextRangeTest, LastChunkCallbackMayDestroyTheStream) {
+  StreamId s = 0;
+  ASSERT_EQ(ctx_.StreamCreate(&s), CudaResult::kSuccess);
+  Gate(s);
+  Launch(1, 2, s);
+  CudaResult destroyed = CudaResult::kErrorNotReady;
+  ASSERT_EQ(ctx_.LaunchKernelStream(step_, 3, s,
+                                    [&](gpu::UnitRange r) {
+                                      log_.push_back({2, r});
+                                      destroyed = ctx_.StreamDestroy(s);
+                                    }),
+            CudaResult::kSuccess);
+  sim_.Run();
+  ASSERT_EQ(log_.size(), 2u);
+  ExpectRange(log_[1], 2, Millis(35), Millis(10), 3);
+  EXPECT_EQ(destroyed, CudaResult::kSuccess);
+  EXPECT_EQ(ctx_.PendingKernels(), 0u);
+}
+
 }  // namespace
 }  // namespace ks::cuda

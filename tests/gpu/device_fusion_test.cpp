@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "gpu/device.hpp"
@@ -24,6 +25,11 @@ KernelDesc Step(Duration d) {
   return k;
 }
 
+/// Appends each unit of `r` to `out` as its own finish time.
+void Expand(const UnitRange& r, std::vector<Time>* out) {
+  for (int i = 0; i < r.count; ++i) out->push_back(r.At(i));
+}
+
 TEST(DeviceFusion, IdleRepeatRetiresOnOneEngineEvent) {
   sim::Simulation sim;
   GpuDevice dev(&sim, GpuUuid("GPU-f0"));
@@ -31,9 +37,9 @@ TEST(DeviceFusion, IdleRepeatRetiresOnOneEngineEvent) {
   Time last{0};
   const std::uint64_t before = sim.lifetime_events();
   dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 50,
-                   [&](Time finish) {
-                     ++units;
-                     last = finish;
+                   [&](UnitRange r) {
+                     units += r.count;
+                     last = r.At(r.count - 1);
                    });
   sim.Run();
   EXPECT_EQ(units, 50);
@@ -51,9 +57,9 @@ TEST(DeviceFusion, ReferenceRetiresSameUnitsWithOneEventEach) {
   Time last{0};
   const std::uint64_t before = sim.lifetime_events();
   dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 50,
-                   [&](Time finish) {
-                     ++units;
-                     last = finish;
+                   [&](UnitRange r) {
+                     units += r.count;
+                     last = r.At(r.count - 1);
                    });
   sim.Run();
   EXPECT_EQ(units, 50);
@@ -70,7 +76,7 @@ TEST(DeviceFusion, ForeignSubmitSplitsWithExactBackTraces) {
   dev.SetKernelTraceFn([&](const KernelTraceEvent& e) { trace.push_back(e); });
   std::vector<Time> finishes;
   dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 10,
-                   [&](Time finish) { finishes.push_back(finish); });
+                   [&](UnitRange r) { Expand(r, &finishes); });
   bool other_done = false;
   // Lands mid-unit-4: three units are due and must materialize with their
   // original boundary times before the newcomer shares the device.
@@ -105,7 +111,8 @@ TEST(DeviceFusion, TeardownMidFusionDropsTailWithoutDoubleCounting) {
   dev.SetKernelTraceFn([&](const KernelTraceEvent& e) { trace.push_back(e); });
   ASSERT_TRUE(dev.Allocate(c1, 1024).ok());
   int delivered = 0;
-  dev.SubmitRepeat(c1, Step(Millis(10)), 20, [&](Time) { ++delivered; });
+  dev.SubmitRepeat(c1, Step(Millis(10)), 20,
+                   [&](UnitRange r) { delivered += r.count; });
 
   sim.ScheduleAt(Millis(45), [&] {
     dev.DetachOwner(c1);
@@ -133,7 +140,7 @@ TEST(DeviceFusion, CancelRepeatTailDeliversDueUnitsFirst) {
   std::vector<Time> finishes;
   const RepeatId id =
       dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 10,
-                       [&](Time finish) { finishes.push_back(finish); });
+                       [&](UnitRange r) { Expand(r, &finishes); });
   std::size_t cancelled = 0;
   sim.ScheduleAt(Millis(35), [&] { cancelled = dev.CancelRepeatTail(id); });
   sim.Run();
@@ -149,13 +156,120 @@ TEST(DeviceFusion, RepeatUnitsFinishedIsAnalyticMidGroup) {
   sim::Simulation sim;
   GpuDevice dev(&sim, GpuUuid("GPU-f4"));
   const RepeatId id = dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)),
-                                       10, [](Time) {});
+                                       10, [](UnitRange) {});
   std::size_t at_35 = 0;
   sim.ScheduleAt(Millis(35), [&] { at_35 = dev.RepeatUnitsFinished(id); });
   sim.RunUntil(Millis(35));
   EXPECT_EQ(at_35, 3u);
   EXPECT_EQ(dev.completed_kernels(), 3u);  // analytic, no event fired yet
   sim.Run();
+  EXPECT_EQ(dev.completed_kernels(), 10u);
+}
+
+// ---- Range retirement ------------------------------------------------------
+
+bool SameRange(const UnitRange& a, const UnitRange& b) {
+  return a.first == b.first && a.step == b.step && a.count == b.count;
+}
+
+TEST(DeviceFusionRange, FusedRunArrivesAsOneRange) {
+  sim::Simulation sim;
+  GpuDevice dev(&sim, GpuUuid("GPU-g0"));
+  std::vector<UnitRange> ranges;
+  dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 50,
+                   [&](UnitRange r) { ranges.push_back(r); });
+  sim.Run();
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_TRUE(SameRange(ranges[0], UnitRange{Millis(10), Millis(10), 50}));
+  EXPECT_EQ(ranges[0].At(49), Millis(500));
+}
+
+TEST(DeviceFusionRange, SplitDeliversDuePrefixAsOneRangeThenSingles) {
+  sim::Simulation sim;
+  GpuDevice dev(&sim, GpuUuid("GPU-g1"));
+  std::vector<UnitRange> ranges;
+  dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 10,
+                   [&](UnitRange r) { ranges.push_back(r); });
+  sim.ScheduleAt(Millis(35), [&] {
+    dev.Submit(ContainerId("c2"), Step(Millis(10)), nullptr);
+  });
+  sim.Run();
+  // Three due units in one range; the in-flight unit and the tail then
+  // chain one kernel at a time, each a range of one.
+  ASSERT_EQ(ranges.size(), 8u);
+  EXPECT_TRUE(SameRange(ranges[0], UnitRange{Millis(10), Millis(10), 3}));
+  for (std::size_t i = 1; i < ranges.size(); ++i) {
+    EXPECT_EQ(ranges[i].count, 1) << i;
+    EXPECT_EQ(ranges[i].step, Duration{0}) << i;
+  }
+}
+
+TEST(DeviceFusionRange, CancelDeliversDuePrefixAsOneRangeBeforeReturning) {
+  sim::Simulation sim;
+  GpuDevice dev(&sim, GpuUuid("GPU-g2"));
+  std::vector<UnitRange> ranges;
+  const RepeatId id =
+      dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 10,
+                       [&](UnitRange r) { ranges.push_back(r); });
+  std::size_t in_cancel = 0;
+  sim.ScheduleAt(Millis(35), [&] {
+    EXPECT_EQ(dev.CancelRepeatTail(id), 6u);
+    in_cancel = ranges.size();
+  });
+  sim.Run();
+  EXPECT_EQ(in_cancel, 1u);
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_TRUE(SameRange(ranges[0], UnitRange{Millis(10), Millis(10), 3}));
+  EXPECT_TRUE(SameRange(ranges[1], UnitRange::One(Millis(40))));
+}
+
+// Kernel ids advance by the run length whether or not a trace observer is
+// installed; only the per-unit trace records need the observer.
+TEST(DeviceFusionRange, KernelIdsDoNotDependOnTheTraceObserver) {
+  sim::Simulation sim_traced;
+  sim::Simulation sim_plain;
+  GpuDevice traced(&sim_traced, GpuUuid("GPU-g3"));
+  GpuDevice plain(&sim_plain, GpuUuid("GPU-g4"));
+  std::vector<KernelTraceEvent> trace;
+  traced.SetKernelTraceFn(
+      [&](const KernelTraceEvent& e) { trace.push_back(e); });
+  KernelId next_traced = 0;
+  KernelId next_plain = 0;
+  for (auto [sim, dev, next] :
+       {std::tuple{&sim_traced, &traced, &next_traced},
+        std::tuple{&sim_plain, &plain, &next_plain}}) {
+    const RepeatId id = dev->SubmitRepeat(ContainerId("c1"), Step(Millis(10)),
+                                          20, [](UnitRange) {});
+    // Split mid-run, then let the rest retire.
+    sim->ScheduleAt(Millis(55), [dev, id] { dev->CancelRepeatTail(id); });
+    sim->Run();
+    dev->SubmitRepeat(ContainerId("c1"), Step(Millis(10)), 30,
+                      [](UnitRange) {});
+    sim->Run();
+    *next = dev->Submit(ContainerId("c1"), Step(Millis(1)), nullptr);
+  }
+  // 6 units of the cancelled run (5 due + 1 in flight) and 30 fused.
+  EXPECT_EQ(next_traced, 37u);
+  EXPECT_EQ(next_plain, next_traced);
+  ASSERT_EQ(trace.size(), 36u);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].id, i + 1);
+  }
+  EXPECT_EQ(trace[6].start, Millis(60));
+  EXPECT_EQ(trace[35].finish, Millis(360));
+  EXPECT_EQ(plain.completed_kernels(), traced.completed_kernels());
+}
+
+TEST(DeviceFusionRange, DueUnitsClampToTheRun) {
+  sim::Simulation sim;
+  GpuDevice dev(&sim, GpuUuid("GPU-g5"));
+  const RepeatId id = dev.SubmitRepeat(ContainerId("c1"), Step(Millis(10)),
+                                       10, [](UnitRange) {});
+  EXPECT_EQ(dev.RepeatUnitsFinished(id), 0u);
+  EXPECT_EQ(dev.completed_kernels(), 0u);
+  sim.RunUntil(Millis(99));
+  EXPECT_EQ(dev.RepeatUnitsFinished(id), 9u);
+  sim.RunUntil(Millis(100));
   EXPECT_EQ(dev.completed_kernels(), 10u);
 }
 
@@ -173,8 +287,8 @@ TEST(DeviceFusionSoak, EventIdExhaustionLatchesInsteadOfAborting) {
   // one event, then its last delivery launches the next batch.
   std::uint64_t units = 0;
   std::function<void()> launch = [&] {
-    dev.SubmitRepeat(c1, Step(Millis(1)), 100, [&](Time) {
-      ++units;
+    dev.SubmitRepeat(c1, Step(Millis(1)), 100, [&](UnitRange r) {
+      units += static_cast<std::uint64_t>(r.count);
       if (units % 100 == 0) launch();
     });
   };

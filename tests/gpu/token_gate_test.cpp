@@ -100,7 +100,7 @@ TYPED_TEST(TokenGateTest, SubmitRepeatIsGatedToo) {
   this->dev_.FenceTokenEpoch(this->c1_);
   int units = 0;
   EXPECT_EQ(this->dev_.SubmitRepeat(this->c1_, {Millis(5), 0.0, "r"}, 4,
-                                    [&](Time) { ++units; }),
+                                    [&](UnitRange r) { units += r.count; }),
             0u);
   this->sim_.Run();
   EXPECT_EQ(units, 0);

@@ -76,7 +76,7 @@ KernelId GpuDeviceReference::Submit(const ContainerId& owner,
   r.name = desc.name;
   r.start = sim_->Now();
   if (on_complete) {
-    r.on_done = [fn = std::move(on_complete)](Time) { fn(); };
+    r.on_done = [fn = std::move(on_complete)](UnitRange) { fn(); };
   }
   running_.push_back(std::move(r));
   Reschedule();
@@ -212,7 +212,7 @@ void GpuDeviceReference::OnCompletionEvent() {
   }
   Reschedule();
   for (auto& d : done) {
-    if (d.fn) d.fn(now);
+    if (d.fn) d.fn(UnitRange::One(now));
     if (d.chain != 0) AdvanceChain(d.chain);
   }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "cuda/context.hpp"
 #include "gpu/device.hpp"
 
@@ -252,6 +256,201 @@ TEST_F(FrontendHookTest, ThroughputRatioMatchesQuotaOverhead) {
       ToSeconds(cfg_.quota) / ToSeconds(cfg_.quota + cfg_.exchange_latency);
   const double measured = static_cast<double>(done) * 0.010 / 10.0;
   EXPECT_NEAR(measured, expected, 0.02);
+}
+
+
+// ---- Range retirement ------------------------------------------------------
+// A forwarded batch retires back through the driver as unit ranges; the hook
+// splits each only where it crosses from one source launch to the next.
+
+struct Delivery {
+  int tag = 0;
+  gpu::UnitRange units;
+  bool synced = false;
+};
+
+class FrontendHookRangeTest : public FrontendHookTest {
+ protected:
+  FrontendHookRangeTest()
+      : c_(std::make_unique<ContainerStack>(&sim_, &dev_, backend_.get(), "c1",
+                                            ResourceSpec{})) {}
+
+  gpu::UnitDoneFn Record(int tag) {
+    return [this, tag](gpu::UnitRange r) { log_.push_back({tag, r, synced_}); };
+  }
+  void Launch(int tag, int count,
+              cuda::StreamId stream = cuda::kDefaultStream) {
+    ASSERT_EQ(c_->hook.LaunchKernelStream(step_, count, stream, Record(tag)),
+              cuda::CudaResult::kSuccess);
+  }
+  /// The delivered ranges expanded to one (tag, finish) pair per unit, in
+  /// delivery order — what a job sees.
+  std::vector<std::pair<int, Time>> Units() const {
+    std::vector<std::pair<int, Time>> out;
+    for (const Delivery& d : log_) {
+      EXPECT_GE(d.units.count, 1) << "empty range for tag " << d.tag;
+      for (int i = 0; i < d.units.count; ++i) {
+        out.emplace_back(d.tag, d.units.At(i));
+      }
+    }
+    return out;
+  }
+  /// Every launch's units arrive exactly once, launches in FIFO order, and
+  /// finish times strictly increase (one stream runs one unit at a time).
+  void ExpectUnitsInOrder(const std::vector<std::pair<int, int>>& launches) {
+    const auto units = Units();
+    std::vector<int> want;
+    for (const auto& [tag, count] : launches) {
+      want.insert(want.end(), count, tag);
+    }
+    std::vector<int> got;
+    for (const auto& u : units) got.push_back(u.first);
+    EXPECT_EQ(got, want);
+    for (std::size_t i = 1; i < units.size(); ++i) {
+      EXPECT_LT(units[i - 1].second, units[i].second) << "unit " << i;
+    }
+  }
+
+  const gpu::KernelDesc step_{Millis(10), 0.0, "step"};
+  std::unique_ptr<ContainerStack> c_;
+  std::vector<Delivery> log_;
+  bool synced_ = false;
+};
+
+TEST_F(FrontendHookRangeTest, RangeSplitsOnlyAtSourceLaunchBoundaries) {
+  // 9 x 10 ms fits one 100 ms grant: one forwarded batch, fused on the
+  // device, back as one range that the hook splits per source launch.
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  sim_.Run();
+  ASSERT_EQ(log_.size(), 3u);
+  EXPECT_EQ(log_[0].units.count, 2);
+  EXPECT_EQ(log_[1].units.count, 3);
+  EXPECT_EQ(log_[2].units.count, 4);
+  for (const Delivery& d : log_) EXPECT_EQ(d.units.step, Millis(10));
+  EXPECT_EQ(log_[1].units.first, log_[0].units.At(2));
+  EXPECT_EQ(log_[2].units.first, log_[1].units.At(3));
+  ExpectUnitsInOrder({{1, 2}, {2, 3}, {3, 4}});
+  EXPECT_EQ(c_->hook.PendingKernels(), 0u);
+  EXPECT_EQ(c_->hook.RetiredUnits(cuda::kDefaultStream), 9u);
+}
+
+TEST_F(FrontendHookRangeTest, PartialTakeInDrainKeepsTheRemainder) {
+  // 25 units outgrow a grant: Drain forwards a partial take of the first
+  // launch and keeps its callback for the remainder.
+  Launch(1, 25);
+  Launch(2, 3);
+  sim_.Run();
+  ASSERT_GE(log_.size(), 3u);
+  EXPECT_EQ(log_[0].tag, 1);
+  EXPECT_EQ(log_[0].units.count, 9);  // fit - 1 units of the first grant
+  ExpectUnitsInOrder({{1, 25}, {2, 3}});
+  EXPECT_EQ(c_->hook.PendingKernels(), 0u);
+  EXPECT_GE(backend_->grants(), 3u);
+}
+
+TEST_F(FrontendHookRangeTest, SynchronizeFiresOnlyAfterTheLastChunk) {
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  ASSERT_EQ(c_->hook.Synchronize([&] { synced_ = true; }),
+            cuda::CudaResult::kSuccess);
+  sim_.Run();
+  ASSERT_EQ(log_.size(), 3u);
+  for (const Delivery& d : log_) EXPECT_FALSE(d.synced) << "tag " << d.tag;
+  EXPECT_TRUE(synced_);
+}
+
+TEST_F(FrontendHookRangeTest, CallbackLaunchingAtChunkBoundaryRunsAfterBatch) {
+  ASSERT_EQ(c_->hook.LaunchKernelStream(step_, 2, cuda::kDefaultStream,
+                                        [&](gpu::UnitRange r) {
+                                          log_.push_back({1, r});
+                                          Launch(4, 2);
+                                        }),
+            cuda::CudaResult::kSuccess);
+  Launch(2, 3);
+  Launch(3, 4);
+  sim_.Run();
+  ExpectUnitsInOrder({{1, 2}, {2, 3}, {3, 4}, {4, 2}});
+  EXPECT_EQ(c_->hook.PendingKernels(), 0u);
+}
+
+TEST_F(FrontendHookRangeTest, CancelMidGroupDeliversDuePrefixFirst) {
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  std::size_t cancelled = 0;
+  std::size_t delivered_in_cancel = 0;
+  // The batch starts at the grant (~1.5 ms): at 40 ms three units are due
+  // and the fourth is in flight.
+  sim_.ScheduleAt(Millis(40), [&] {
+    cancelled = c_->hook.CancelPending(cuda::kDefaultStream);
+    delivered_in_cancel = log_.size();
+  });
+  sim_.Run();
+  EXPECT_EQ(cancelled, 5u);
+  EXPECT_EQ(delivered_in_cancel, 2u);
+  ASSERT_EQ(log_.size(), 3u);
+  EXPECT_EQ(log_[0].units.count, 2);
+  EXPECT_EQ(log_[1].units.count, 1);
+  EXPECT_EQ(log_[1].units.first, log_[0].units.At(2));
+  // The in-flight unit retires on its own, at its unfused boundary.
+  EXPECT_EQ(log_[2].tag, 2);
+  EXPECT_EQ(log_[2].units.count, 1);
+  EXPECT_EQ(log_[2].units.first, log_[0].units.At(3));
+  EXPECT_EQ(c_->hook.PendingKernels(), 0u);
+  EXPECT_FALSE(c_->hook.holds_valid_token());
+}
+
+TEST_F(FrontendHookRangeTest, RecallAfterPartialDeliveryReturnsOnlyTheTail) {
+  Launch(1, 2);
+  Launch(2, 3);
+  Launch(3, 4);
+  // A foreign kernel splits the fused batch at ~27 ms: the two due units
+  // arrive as one range and the rest chain one at a time. The daemon
+  // restarts meanwhile; when it comes back (~55 ms) the hook recalls the
+  // batch's unstarted tail and forwards it again under the new grant.
+  sim_.ScheduleAt(Millis(5), [&] { backend_->Restart(); });
+  sim_.ScheduleAt(Millis(27), [&] {
+    dev_.Submit(ContainerId("x"), {Millis(1), 0.0, "foreign"}, nullptr);
+  });
+  sim_.Run();
+  ASSERT_FALSE(log_.empty());
+  EXPECT_EQ(log_[0].tag, 1);
+  EXPECT_EQ(log_[0].units.count, 2);
+  ExpectUnitsInOrder({{1, 2}, {2, 3}, {3, 4}});
+  // The recalled tail came back as one forwarded batch: one range.
+  EXPECT_EQ(log_.back().tag, 3);
+  EXPECT_GE(log_.back().units.count, 2);
+  EXPECT_EQ(backend_->restarts(), 1u);
+  EXPECT_EQ(c_->hook.PendingKernels(), 0u);
+}
+
+TEST_F(FrontendHookRangeTest, SyncWaiterAddedMidRangeMayDestroyTheStream) {
+  cuda::StreamId s = 0;
+  ASSERT_EQ(c_->hook.StreamCreate(&s), cuda::CudaResult::kSuccess);
+  cuda::CudaResult destroyed = cuda::CudaResult::kErrorNotReady;
+  ASSERT_EQ(c_->hook.LaunchKernelStream(
+                step_, 2, s,
+                [&](gpu::UnitRange r) {
+                  log_.push_back({1, r});
+                  c_->hook.Synchronize(
+                      [&] { destroyed = c_->hook.StreamDestroy(s); });
+                }),
+            cuda::CudaResult::kSuccess);
+  Launch(2, 3, s);
+  sim_.Run();
+  ExpectUnitsInOrder({{1, 2}, {2, 3}});
+  // The waiter ran once the last chunk was in; both the hook's and the
+  // driver's stream are gone and neither layer touched them again.
+  EXPECT_EQ(destroyed, cuda::CudaResult::kSuccess);
+  EXPECT_EQ(c_->hook.LaunchKernel(step_, s, nullptr),
+            cuda::CudaResult::kErrorInvalidHandle);
+  EXPECT_EQ(c_->ctx.LaunchKernel(step_, s, nullptr),
+            cuda::CudaResult::kErrorInvalidHandle);
+  EXPECT_EQ(c_->hook.PendingKernels(), 0u);
+  EXPECT_FALSE(c_->hook.holds_valid_token());
 }
 
 }  // namespace
